@@ -32,7 +32,7 @@ fn main() {
     let img = testimage::gray_test_image(w, h);
     let restricted = jtgen::restricted_source();
     let unrestricted = jtgen::unrestricted_source();
-    let mut rows: Vec<(String, f64)> = Vec::new();
+    let mut rows: Vec<bench::BenchRow> = Vec::new();
 
     println!("\nAblation: native reaction tier vs. stack VM ({w}x{h} image, {reactions} reaction(s))");
 
@@ -42,7 +42,7 @@ fn main() {
     let (vm_ns, vm_out) = time_reactions(&mut vm, &img, reactions);
     let vm_steps = vm.last_cost().steps;
     println!("  bytecode  react: {:>9.2} ms  steps={}", vm_ns / 1e6, vm_steps);
-    rows.push(("restricted/bytecode/react".into(), vm_ns));
+    rows.push(("restricted/bytecode/react".into(), vm_ns, "ns"));
 
     // Native tier on the restricted design. Lowering happens inside
     // initialize; time it separately — it is the tier's up-front cost,
@@ -67,8 +67,8 @@ fn main() {
         lower_ns / 1e9,
         code_bytes as f64 / 1e6
     );
-    rows.push(("restricted/native/react".into(), native_ns));
-    rows.push(("restricted/native/lowering".into(), lower_ns));
+    rows.push(("restricted/native/react".into(), native_ns, "ns"));
+    rows.push(("restricted/native/lowering".into(), lower_ns, "ns"));
 
     assert_eq!(vm_out, native_out, "native tier output diverges from the stack VM");
     assert!(
@@ -97,7 +97,7 @@ fn main() {
     vm_un.initialize(&[]).unwrap();
     let (vm_un_ns, _) = time_reactions(&mut vm_un, &img, reactions);
     println!("  unrestricted bytecode react: {:>9.2} ms (fallback tier)", vm_un_ns / 1e6);
-    rows.push(("unrestricted/bytecode/react".into(), vm_un_ns));
+    rows.push(("unrestricted/bytecode/react".into(), vm_un_ns, "ns"));
 
     println!();
     bench::write_bench_json("ablation_native", &rows);

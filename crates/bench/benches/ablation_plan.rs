@@ -188,5 +188,5 @@ criterion_group!(benches, bench_plan);
 
 fn main() {
     benches();
-    bench::write_bench_json("ablation_plan", &criterion::take_results());
+    bench::write_bench_json("ablation_plan", &bench::ns_rows(criterion::take_results()));
 }

@@ -212,42 +212,24 @@ fn main() {
         );
     }
 
-    let prefix = "incremental_lint";
+    let row = |id: &str, value: f64, unit: &'static str| (format!("incremental_lint/{id}"), value, unit);
     let rows = vec![
-        (format!("{prefix}/cold_analyze"), cold_ns),
-        (format!("{prefix}/warm_noop_analyze"), warm_ns),
-        (format!("{prefix}/warm_one_edit_analyze"), edit_ns),
-        (format!("{prefix}/methods"), n_methods as f64),
-        (format!("{prefix}/method_queries"), method_queries as f64),
-        (
-            format!("{prefix}/one_edit_recomputed_queries"),
-            edit_stats.recomputed as f64,
-        ),
-        (
-            format!("{prefix}/one_edit_scc_recomputes"),
-            edit_stats.scc_misses as f64,
-        ),
-        (format!("{prefix}/one_edit_recompute_pct"), recompute_pct),
-        (format!("{prefix}/warm_speedup_x"), speedup),
-        (format!("{prefix}/cold_tail"), cold_stats.tail_ns as f64),
-        (
-            format!("{prefix}/warm_noop_tail"),
-            noop_tail_stats.tail_ns as f64,
-        ),
-        (format!("{prefix}/warm_one_edit_tail"), edit_stats.tail_ns as f64),
-        (format!("{prefix}/tail_speedup_x"), tail_speedup),
-        (
-            format!("{prefix}/one_edit_demand_misses"),
-            edit_stats.demand_misses as f64,
-        ),
-        (
-            format!("{prefix}/one_edit_constraints_retracted"),
-            edit_stats.pt_constraints_retracted as f64,
-        ),
-        (
-            format!("{prefix}/one_edit_constraints_added"),
-            edit_stats.pt_constraints_added as f64,
-        ),
+        row("cold_analyze", cold_ns, "ns"),
+        row("warm_noop_analyze", warm_ns, "ns"),
+        row("warm_one_edit_analyze", edit_ns, "ns"),
+        row("methods", n_methods as f64, "count"),
+        row("method_queries", method_queries as f64, "count"),
+        row("one_edit_recomputed_queries", edit_stats.recomputed as f64, "count"),
+        row("one_edit_scc_recomputes", edit_stats.scc_misses as f64, "count"),
+        row("one_edit_recompute_pct", recompute_pct, "%"),
+        row("warm_speedup_x", speedup, "x"),
+        row("cold_tail", cold_stats.tail_ns as f64, "ns"),
+        row("warm_noop_tail", noop_tail_stats.tail_ns as f64, "ns"),
+        row("warm_one_edit_tail", edit_stats.tail_ns as f64, "ns"),
+        row("tail_speedup_x", tail_speedup, "x"),
+        row("one_edit_demand_misses", edit_stats.demand_misses as f64, "count"),
+        row("one_edit_constraints_retracted", edit_stats.pt_constraints_retracted as f64, "count"),
+        row("one_edit_constraints_added", edit_stats.pt_constraints_added as f64, "count"),
     ];
     bench::write_bench_json("incremental", &rows);
 }

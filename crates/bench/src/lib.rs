@@ -9,6 +9,7 @@ use asr::prelude::*;
 use jtvm::engine::Engine;
 use jtvm::interp::Interpreter;
 use jtvm::vm::CompiledVm;
+use jtobs::json::Json;
 
 /// Builds the accumulator system used across the figure benches.
 pub fn accumulator() -> System {
@@ -81,16 +82,47 @@ pub fn compiled_vm(source: &str, class: &str) -> CompiledVm {
     e
 }
 
-/// Writes `BENCH_<name>.json` at the repository root: the bench name,
-/// the commit the numbers were measured at, and one `{name, value,
-/// unit}` row per benchmark id (value = median wall time, unit = "ns").
-/// Benches call this from `main` after their criterion groups run,
-/// with the rows drained from `criterion::take_results()`, so CI (and
-/// EXPERIMENTS.md updates) can diff measured numbers across commits.
+/// One `BENCH_*.json` row: benchmark id, value, and the value's unit
+/// (`ns`, `count`, `%`, `x`, …).
+pub type BenchRow = (String, f64, &'static str);
+
+/// Tags Criterion's median wall times (`criterion::take_results()`)
+/// with their unit, `ns`.
+pub fn ns_rows(results: Vec<(String, f64)>) -> Vec<BenchRow> {
+    results.into_iter().map(|(id, ns)| (id, ns, "ns")).collect()
+}
+
+/// The `BENCH_<name>.json` document: the bench name, the commit the
+/// numbers were measured at, and one `{name, value, unit}` object per
+/// row, one row per line.
+pub fn bench_document(name: &str, commit: &str, rows: &[BenchRow]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|(id, value, unit)| {
+            Json::Obj(vec![
+                ("name".into(), id.as_str().into()),
+                ("value".into(), Json::Float(*value)),
+                ("unit".into(), (*unit).into()),
+            ])
+            .render()
+        })
+        .collect();
+    format!(
+        "{{\n  \"bench\": {},\n  \"commit\": {},\n  \"metrics\": [\n    {}\n  ]\n}}\n",
+        Json::from(name).render(),
+        Json::from(commit).render(),
+        rows.join(",\n    ")
+    )
+}
+
+/// Writes [`bench_document`] to `BENCH_<name>.json` at the repository
+/// root. Benches call this from `main` after their measurements run,
+/// so CI (and EXPERIMENTS.md updates) can diff measured numbers across
+/// commits.
 ///
 /// Best-effort: failures to resolve the commit or write the file are
 /// reported to stderr, never a bench failure.
-pub fn write_bench_json(name: &str, rows: &[(String, f64)]) {
+pub fn write_bench_json(name: &str, rows: &[BenchRow]) {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
@@ -100,23 +132,8 @@ pub fn write_bench_json(name: &str, rows: &[(String, f64)]) {
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{name}\",\n"));
-    out.push_str(&format!("  \"commit\": \"{commit}\",\n"));
-    out.push_str("  \"metrics\": [\n");
-    for (i, (id, ns)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        // Bench ids are group/function/parameter names: no characters
-        // that need JSON escaping beyond what we forbid here.
-        debug_assert!(!id.contains('"') && !id.contains('\\'), "unescapable id {id}");
-        out.push_str(&format!(
-            "    {{\"name\": \"{id}\", \"value\": {ns:.1}, \"unit\": \"ns\"}}{comma}\n"
-        ));
-    }
-    out.push_str("  ]\n}\n");
     let path = format!("{root}/BENCH_{name}.json");
-    if let Err(e) = std::fs::write(&path, out) {
+    if let Err(e) = std::fs::write(&path, bench_document(name, &commit, rows)) {
         eprintln!("bench: could not write {path}: {e}");
     } else {
         println!("bench results: {path} ({} metric(s))", rows.len());
@@ -143,5 +160,27 @@ mod tests {
             .react(&[jtvm::io::PortDatum::Int(1)])
             .unwrap()[0]
             .is_some());
+    }
+
+    #[test]
+    fn bench_document_parses_back_with_units() {
+        use jtobs::json;
+        let rows = vec![
+            ("g/\"odd\"\\id".to_string(), 2_099_361.0, "ns"),
+            ("g/methods".to_string(), 1024.0, "count"),
+            ("g/warm_speedup_x".to_string(), 53.4, "x"),
+        ];
+        let text = bench_document("demo", "abc123", &rows);
+        let doc = json::parse(&text).expect("bench document must be valid JSON");
+        assert_eq!(doc.str_of("bench"), Ok("demo"));
+        assert_eq!(doc.str_of("commit"), Ok("abc123"));
+        let metrics = doc.arr_of("metrics").unwrap();
+        assert_eq!(metrics.len(), rows.len());
+        for (m, (id, value, unit)) in metrics.iter().zip(&rows) {
+            assert_eq!(m.str_of("name"), Ok(id.as_str()));
+            assert_eq!(m.get("value"), Some(&Json::Float(*value)));
+            assert_eq!(m.str_of("unit"), Ok(*unit));
+        }
+        assert!(text.contains("\n    {\"name\":\"g/methods\",\"value\":1024.0,\"unit\":\"count\"},\n"));
     }
 }

@@ -536,7 +536,6 @@ impl AnalysisDb {
     /// serving each component from cache when its key — member
     /// fingerprints plus external callee summary hashes — is unchanged.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn summaries(
         &mut self,
         program: &Program,

@@ -37,8 +37,8 @@ use jtlang::ast::{
 };
 use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
+use jtobs::json::Json;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Whether the evidence backs a reported finding or discharges a
 /// candidate.
@@ -251,274 +251,6 @@ impl Evidence {
             Evidence::AliasRace { .. } => "R12",
             Evidence::Ownership { .. } => "R13",
             Evidence::AliasLeak { .. } => "R14",
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------
-
-/// A minimal JSON value (integers only; all the evidence needs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Integer number.
-    Num(i64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Serializes compactly (no whitespace), deterministically.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => write_json_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_str(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses one JSON value (integers only; fractions/exponents are
-    /// rejected — the linter never emits them).
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn str_of(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s),
-            _ => Err(format!("expected string field `{key}`")),
-        }
-    }
-
-    fn num_of(&self, key: &str) -> Result<i64, String> {
-        match self.get(key) {
-            Some(Json::Num(n)) => Ok(*n),
-            _ => Err(format!("expected number field `{key}`")),
-        }
-    }
-
-    fn bool_of(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Json::Bool(b)) => Ok(*b),
-            _ => Err(format!("expected boolean field `{key}`")),
-        }
-    }
-
-    fn arr_of(&self, key: &str) -> Result<&[Json], String> {
-        match self.get(key) {
-            Some(Json::Arr(a)) => Ok(a),
-            _ => Err(format!("expected array field `{key}`")),
-        }
-    }
-}
-
-fn write_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    let Some(&b) = bytes.get(*pos) else {
-        return Err("unexpected end of input".into());
-    };
-    match b {
-        b'n' => parse_lit(bytes, pos, "null", Json::Null),
-        b't' => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        b'"' => parse_string(bytes, pos).map(Json::Str),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        b'-' | b'0'..=b'9' => {
-            let start = *pos;
-            if b == b'-' {
-                *pos += 1;
-            }
-            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).unwrap();
-            text.parse::<i64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-        other => Err(format!("unexpected byte `{}`", other as char)),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                        *pos += 4;
-                    }
-                    _ => return Err("bad escape".into()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad UTF-8")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
@@ -1478,6 +1210,7 @@ pub fn witness_classes(witnesses: &[ThreadWitness]) -> BTreeSet<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jtobs::json;
 
     #[test]
     fn json_round_trips() {
@@ -1495,7 +1228,7 @@ mod tests {
             },
         };
         let text = ev.to_json().render();
-        let back = Evidence::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = Evidence::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(ev, back);
 
         let ev = Evidence::AliasRace {
@@ -1523,34 +1256,16 @@ mod tests {
             }],
         };
         let text = ev.to_json().render();
-        let back = Evidence::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = Evidence::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(ev, back);
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("1.5").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("{}extra").is_err());
-        assert_eq!(
-            Json::parse("{\"a\": [1, -2]}").unwrap(),
-            Json::Obj(vec![(
-                "a".into(),
-                Json::Arr(vec![Json::Num(1), Json::Num(-2)])
-            )])
-        );
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let s = "a\"b\\c\nd\te\u{1}f";
-        let mut out = String::new();
-        write_json_str(s, &mut out);
-        let Json::Str(back) = Json::parse(&out).unwrap() else {
-            panic!("not a string");
-        };
-        assert_eq!(back, s);
+    fn evidence_numbers_are_integers_only() {
+        let text = r#"{"kind":"loop_bound","verdict":"cleared","method":"A.m","loop_span":[0,1],"derivation":{"kind":"interval","trips":1.5}}"#;
+        let err = Evidence::from_json(&json::parse(text).unwrap()).unwrap_err();
+        assert!(err.contains("`trips`"), "{err}");
+        let text = text.replace("1.5", "2").replace("[0,1]", "[0,1.0]");
+        assert!(Evidence::from_json(&json::parse(&text).unwrap()).is_err());
     }
 }

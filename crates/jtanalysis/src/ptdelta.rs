@@ -147,35 +147,10 @@ impl PtCache {
         ix: Option<&ProgramIndex>,
     ) -> (PointsTo, DeltaOutcome) {
         let sig = fingerprint::sig_fp(table);
-        // Fast path: the index proves no method, class context, or
-        // signature changed since the cached revision, so every shape
-        // — and the relation itself — is current. Rebase spans and
-        // hand the cached relation back without cloning a single
-        // shape.
-        if let Some((ix, cached)) = ix.zip(self.state.as_mut()) {
-            if cached.k == k
-                && cached.sig == sig
-                && !cached.mkeys.is_empty()
-                && cached.class_ctx == ix.class_ctx
-                && cached.mkeys.len() == ix.methods.len()
-                && cached.pt.converged()
-                && ix.methods.iter().all(|(m, (fp, _))| cached.mkeys.get(m) == Some(fp))
-                && cached.pt.rebase(program, table)
-            {
-                return (
-                    cached.pt.clone(),
-                    DeltaOutcome {
-                        path: DeltaPath::Rebase,
-                        retracted: 0,
-                        added: 0,
-                        tainted: 0,
-                    },
-                );
-            }
-        }
         // Narrow path: the index proves the method set is stable and
         // names which bodies changed, so only those shapes get
-        // re-extracted before the rebase/delta machinery runs.
+        // re-extracted before the rebase/delta machinery runs. An empty
+        // changed set is the no-op revision: a pure rebase.
         if let Some(ix) = ix {
             if let Some(outcome) = self.try_incremental(program, table, k, sig, ix) {
                 let state = self.state.as_ref().expect("incremental path keeps state");

@@ -7,13 +7,10 @@
 //! re-numbers them.
 
 use crate::token::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique id of an AST node within one parsed [`Program`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -23,7 +20,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A JT type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// `int`
     Int,
@@ -59,7 +56,7 @@ impl fmt::Display for Type {
 }
 
 /// Member visibility, defaulting to Java's package-private.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Visibility {
     /// `public`
     Public,
@@ -84,7 +81,7 @@ impl fmt::Display for Visibility {
 }
 
 /// The modifier set of a member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Modifiers {
     /// Visibility modifier.
     pub visibility: Visibility,
@@ -95,7 +92,7 @@ pub struct Modifiers {
 }
 
 /// A whole compilation unit: an ordered list of classes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Declared classes, in source order.
     pub classes: Vec<ClassDecl>,
@@ -114,7 +111,7 @@ impl Program {
 }
 
 /// A class declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassDecl {
     /// Node id.
     pub id: NodeId,
@@ -150,7 +147,7 @@ impl ClassDecl {
 }
 
 /// A field declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDecl {
     /// Node id.
     pub id: NodeId,
@@ -168,7 +165,7 @@ pub struct FieldDecl {
 
 /// A method or constructor declaration. Constructors have
 /// `return_type == None` and `name` equal to the class name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodDecl {
     /// Node id.
     pub id: NodeId,
@@ -188,7 +185,7 @@ pub struct MethodDecl {
 }
 
 /// A formal parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Node id.
     pub id: NodeId,
@@ -201,7 +198,7 @@ pub struct Param {
 }
 
 /// A `{ … }` statement sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Node id.
     pub id: NodeId,
@@ -212,7 +209,7 @@ pub struct Block {
 }
 
 /// Compound-assignment operator of an assignment statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignOp {
     /// `=`
     Set,
@@ -242,7 +239,7 @@ impl fmt::Display for AssignOp {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stmt {
     /// Node id.
     pub id: NodeId,
@@ -253,7 +250,7 @@ pub struct Stmt {
 }
 
 /// Statement kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StmtKind {
     /// `T x = e;` / `T x;`
     VarDecl {
@@ -320,7 +317,7 @@ pub enum StmtKind {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -394,7 +391,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnOp {
     /// `-`
     Neg,
@@ -412,7 +409,7 @@ impl fmt::Display for UnOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Expr {
     /// Node id.
     pub id: NodeId,
@@ -423,7 +420,7 @@ pub struct Expr {
 }
 
 /// Expression kinds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExprKind {
     /// Integer literal.
     Int(i64),

@@ -1,11 +1,10 @@
 //! Tokens and source spans.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open byte range into the source text, with 1-based line/column
 /// of its start for diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: usize,

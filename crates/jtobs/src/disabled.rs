@@ -119,7 +119,7 @@ impl Registry {
         0
     }
     pub fn chrome_trace_json(&self) -> String {
-        "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ms\"}\n".to_string()
+        crate::chrome_trace_document(std::iter::empty())
     }
     pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> io::Result<()> {
         std::fs::write(path, self.chrome_trace_json())

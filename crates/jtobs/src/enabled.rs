@@ -1,5 +1,6 @@
 //! The real (`telemetry`-enabled) implementation.
 
+use crate::json::Json;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
@@ -332,42 +333,33 @@ impl Registry {
     /// greppable line-wise), timestamps in microseconds. Load it in
     /// `chrome://tracing` or <https://ui.perfetto.dev>.
     pub fn chrome_trace_json(&self) -> String {
+        let us = |ts_ns: u64| Json::Float(ts_ns as f64 / 1e3);
         let events = self.inner.events.lock().unwrap();
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
-        for e in events.iter() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"cat\":\"jtobs\",\"ph\":\"{}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}}}",
-                json_string(&e.name),
-                e.phase,
-                e.ts_ns / 1_000,
-                e.ts_ns % 1_000,
-                e.tid
-            );
-        }
+        let spans = events.iter().map(|e| {
+            Json::Obj(vec![
+                ("name".into(), e.name.as_str().into()),
+                ("cat".into(), "jtobs".into()),
+                ("ph".into(), e.phase.to_string().into()),
+                ("ts".into(), us(e.ts_ns)),
+                ("pid".into(), Json::Num(1)),
+                ("tid".into(), e.tid.into()),
+            ])
+        });
         // Journal events share the registry clock, so they land on the
         // same timeline as the spans, as Chrome "instant" events.
-        for j in self.inner.journal.events() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{}.{:03},\"pid\":1,\"tid\":0,\"args\":{{\"detail\":{}}}}}",
-                json_string(j.kind.name()),
-                j.ts_ns / 1_000,
-                j.ts_ns % 1_000,
-                json_string(&j.kind.canonical())
-            );
-        }
-        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        out
+        let instants = self.inner.journal.events().into_iter().map(|j| {
+            Json::Obj(vec![
+                ("name".into(), j.kind.name().into()),
+                ("cat".into(), "journal".into()),
+                ("ph".into(), "i".into()),
+                ("s".into(), "t".into()),
+                ("ts".into(), us(j.ts_ns)),
+                ("pid".into(), Json::Num(1)),
+                ("tid".into(), Json::Num(0)),
+                ("args".into(), Json::Obj(vec![("detail".into(), j.kind.canonical().into())])),
+            ])
+        });
+        crate::chrome_trace_document(spans.chain(instants))
     }
 
     /// Write [`Self::chrome_trace_json`] to `path`.
@@ -446,24 +438,4 @@ impl Drop for Span {
             tid: self.tid,
         });
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

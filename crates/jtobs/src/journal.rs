@@ -26,6 +26,7 @@
 //! with the `telemetry` feature off the journal type is zero-sized and
 //! no event is ever constructed.
 
+use crate::json::Json;
 use std::fmt::Write as _;
 
 /// Event category; see the module docs.
@@ -98,13 +99,6 @@ pub enum EventKind {
     DeadlineOverrun { scope: String, measured_ns: u64, bound_ns: u64 },
 }
 
-/// Internal field value for the shared JSONL / canonical renderers.
-enum F {
-    U(u64),
-    B(bool),
-    S(String),
-}
-
 impl EventKind {
     /// The event's class; see [`EventClass`].
     pub fn class(&self) -> EventClass {
@@ -139,31 +133,31 @@ impl EventKind {
     /// semantic identity; volatile fields (all `u64`, all listed in
     /// [`VOLATILE_FIELDS`]) vary run to run.
     #[allow(clippy::type_complexity)]
-    fn fields(&self) -> (Vec<(&'static str, F)>, Vec<(&'static str, u64)>) {
+    fn fields(&self) -> (Vec<(&'static str, Json)>, Vec<(&'static str, u64)>) {
         match self {
-            EventKind::InstantBegin { instant } => (vec![("instant", F::U(*instant))], vec![]),
+            EventKind::InstantBegin { instant } => (vec![("instant", Json::from(*instant))], vec![]),
             EventKind::InstantEnd {
                 instant,
                 settled,
                 wall_ns,
             } => (
-                vec![("instant", F::U(*instant)), ("settled", F::U(*settled))],
+                vec![("instant", Json::from(*instant)), ("settled", Json::from(*settled))],
                 vec![("wall_ns", *wall_ns)],
             ),
             EventKind::LevelBegin { level, once, cyclic } => (
                 vec![
-                    ("level", F::U(u64::from(*level))),
-                    ("once", F::U(u64::from(*once))),
-                    ("cyclic", F::U(u64::from(*cyclic))),
+                    ("level", Json::from(u64::from(*level))),
+                    ("once", Json::from(u64::from(*once))),
+                    ("cyclic", Json::from(u64::from(*cyclic))),
                 ],
                 vec![],
             ),
             EventKind::BlockEval { block, name, dur_ns } => (
-                vec![("block", F::U(u64::from(*block))), ("name", F::S(name.clone()))],
+                vec![("block", Json::from(u64::from(*block))), ("name", Json::Str(name.clone()))],
                 vec![("dur_ns", *dur_ns)],
             ),
             EventKind::CyclicSettle { stratum, pops } => (
-                vec![("stratum", F::U(u64::from(*stratum))), ("pops", F::U(*pops))],
+                vec![("stratum", Json::from(u64::from(*stratum))), ("pops", Json::from(*pops))],
                 vec![],
             ),
             EventKind::ParallelLevel {
@@ -172,20 +166,20 @@ impl EventKind {
                 steals,
             } => (
                 vec![
-                    ("level", F::U(u64::from(*level))),
-                    ("workers", F::U(u64::from(*workers))),
+                    ("level", Json::from(u64::from(*level))),
+                    ("workers", Json::from(u64::from(*workers))),
                 ],
                 vec![("steals", *steals)],
             ),
             EventKind::BlockPanic { block, name } => (
-                vec![("block", F::U(u64::from(*block))), ("name", F::S(name.clone()))],
+                vec![("block", Json::from(u64::from(*block))), ("name", Json::Str(name.clone()))],
                 vec![],
             ),
             EventKind::Abort { layer, message } => (
-                vec![("layer", F::S(layer.clone())), ("message", F::S(message.clone()))],
+                vec![("layer", Json::Str(layer.clone())), ("message", Json::Str(message.clone()))],
                 vec![],
             ),
-            EventKind::VmReactBegin { engine } => (vec![("engine", F::S(engine.clone()))], vec![]),
+            EventKind::VmReactBegin { engine } => (vec![("engine", Json::Str(engine.clone()))], vec![]),
             EventKind::VmReactEnd {
                 engine,
                 steps,
@@ -193,10 +187,10 @@ impl EventKind {
                 max_depth,
             } => (
                 vec![
-                    ("engine", F::S(engine.clone())),
-                    ("steps", F::U(*steps)),
-                    ("allocs", F::U(*allocs)),
-                    ("max_depth", F::U(*max_depth)),
+                    ("engine", Json::Str(engine.clone())),
+                    ("steps", Json::from(*steps)),
+                    ("allocs", Json::from(*allocs)),
+                    ("max_depth", Json::from(*max_depth)),
                 ],
                 vec![],
             ),
@@ -207,16 +201,16 @@ impl EventKind {
                 truncated,
             } => (
                 vec![
-                    ("states", F::U(*states)),
-                    ("schedules", F::U(*schedules)),
-                    ("distinct", F::U(*distinct)),
-                    ("truncated", F::B(*truncated)),
+                    ("states", Json::from(*states)),
+                    ("schedules", Json::from(*schedules)),
+                    ("distinct", Json::from(*distinct)),
+                    ("truncated", Json::Bool(*truncated)),
                 ],
                 vec![],
             ),
-            EventKind::SfrCheck { violations } => (vec![("violations", F::U(*violations))], vec![]),
+            EventKind::SfrCheck { violations } => (vec![("violations", Json::from(*violations))], vec![]),
             EventKind::SfrTransform { name, changed } => (
-                vec![("name", F::S(name.clone())), ("changed", F::B(*changed))],
+                vec![("name", Json::Str(name.clone())), ("changed", Json::Bool(*changed))],
                 vec![],
             ),
             EventKind::DeadlineOverrun {
@@ -224,7 +218,7 @@ impl EventKind {
                 measured_ns,
                 bound_ns,
             } => (
-                vec![("scope", F::S(scope.clone())), ("bound_ns", F::U(*bound_ns))],
+                vec![("scope", Json::Str(scope.clone())), ("bound_ns", Json::from(*bound_ns))],
                 vec![("measured_ns", *measured_ns)],
             ),
         }
@@ -237,17 +231,10 @@ impl EventKind {
     pub fn canonical(&self) -> String {
         let mut out = String::from(self.name());
         for (key, val) in self.fields().0 {
-            match val {
-                F::U(v) => {
-                    let _ = write!(out, " {key}={v}");
-                }
-                F::B(v) => {
-                    let _ = write!(out, " {key}={v}");
-                }
-                F::S(v) => {
-                    let _ = write!(out, " {key}={v}");
-                }
-            }
+            let _ = match val {
+                Json::Str(v) => write!(out, " {key}={v}"),
+                v => write!(out, " {key}={}", v.render()),
+            };
         }
         out
     }
@@ -271,55 +258,17 @@ impl Event {
     /// first and last respectively; stable fields sit between `kind`
     /// and the trailing volatile group.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"ts_ns\":{},\"class\":\"{}\",\"kind\":\"{}\"",
-            self.seq,
-            self.ts_ns,
-            self.kind.class().as_str(),
-            self.kind.name()
-        );
         let (stable, volatile) = self.kind.fields();
-        for (key, val) in stable {
-            match val {
-                F::U(v) => {
-                    let _ = write!(out, ",\"{key}\":{v}");
-                }
-                F::B(v) => {
-                    let _ = write!(out, ",\"{key}\":{v}");
-                }
-                F::S(v) => {
-                    let _ = write!(out, ",\"{key}\":{}", json_string(&v));
-                }
-            }
-        }
-        for (key, v) in volatile {
-            let _ = write!(out, ",\"{key}\":{v}");
-        }
-        out.push('}');
-        out
+        let mut fields: Vec<(String, Json)> = vec![
+            ("seq".into(), self.seq.into()),
+            ("ts_ns".into(), self.ts_ns.into()),
+            ("class".into(), self.kind.class().as_str().into()),
+            ("kind".into(), self.kind.name().into()),
+        ];
+        fields.extend(stable.into_iter().map(|(k, v)| (k.to_string(), v)));
+        fields.extend(volatile.into_iter().map(|(k, v)| (k.to_string(), v.into())));
+        Json::Obj(fields).render()
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render a slice of events as JSONL (one event per line).

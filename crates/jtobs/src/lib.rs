@@ -37,7 +37,15 @@ mod disabled;
 pub use disabled::{Counter, Gauge, HistStats, Histogram, Registry, Span};
 
 pub mod journal;
+pub mod json;
 pub mod profile;
 pub mod snapshot;
 
 pub use journal::{Event, EventClass, EventKind, Journal};
+
+/// Lays out a Chrome `trace_event` document: a `traceEvents` array with
+/// one compact event per line, so the file is also greppable line-wise.
+fn chrome_trace_document(events: impl Iterator<Item = json::Json>) -> String {
+    let lines: Vec<String> = events.map(|e| e.render()).collect();
+    format!("{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n", lines.join(",\n"))
+}

@@ -5,7 +5,8 @@
 //! [`jtobs::ENABLED`] so the suite also passes (trivially) with
 //! `--no-default-features`, where every operation is a no-op.
 
-use jtobs::Registry;
+use jtobs::json::{self, Json};
+use jtobs::{Event, EventKind, Registry};
 use proptest::prelude::*;
 
 #[test]
@@ -166,7 +167,7 @@ fn journal_ring_evicts_oldest_and_counts_drops() {
     let journal = registry.journal();
     journal.set_capacity(4);
     for i in 0..10u64 {
-        journal.record(jtobs::EventKind::InstantBegin { instant: i });
+        journal.record(EventKind::InstantBegin { instant: i });
     }
     if jtobs::ENABLED {
         assert_eq!(journal.capacity(), 4);
@@ -177,7 +178,7 @@ fn journal_ring_evicts_oldest_and_counts_drops() {
         let instants: Vec<u64> = events
             .iter()
             .map(|e| match e.kind {
-                jtobs::EventKind::InstantBegin { instant } => instant,
+                EventKind::InstantBegin { instant } => instant,
                 ref other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -202,17 +203,17 @@ fn journal_ring_evicts_oldest_and_counts_drops() {
 fn journal_jsonl_round_trips_and_flags_classes() {
     let registry = Registry::new();
     let journal = registry.journal();
-    journal.record(jtobs::EventKind::BlockEval {
+    journal.record(EventKind::BlockEval {
         block: 3,
         name: "clamp \"odd\"".to_string(),
         dur_ns: 125,
     });
-    journal.record(jtobs::EventKind::ParallelLevel {
+    journal.record(EventKind::ParallelLevel {
         level: 1,
         workers: 8,
         steals: 2,
     });
-    journal.record(jtobs::EventKind::DeadlineOverrun {
+    journal.record(EventKind::DeadlineOverrun {
         scope: "asr.instant".to_string(),
         measured_ns: 2_000_000,
         bound_ns: 1_000_000,
@@ -224,21 +225,60 @@ fn journal_jsonl_round_trips_and_flags_classes() {
     }
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), 3);
-    let classes: Vec<String> = lines
+    let parsed: Vec<Json> = lines
         .iter()
-        .map(|l| {
-            let v = serde_json::from_str(l).expect("journal line must be valid JSON");
-            v.get("class").and_then(|c| c.as_str()).expect("class").to_string()
-        })
+        .map(|l| json::parse(l).expect("journal line must be valid JSON"))
         .collect();
+    let classes: Vec<&str> = parsed.iter().map(|v| v.str_of("class").unwrap()).collect();
     assert_eq!(classes, ["sem", "sched", "timing"]);
     // The quoted block name survives JSON escaping.
-    let first = serde_json::from_str(lines[0]).unwrap();
-    assert_eq!(first.get("name").and_then(|n| n.as_str()), Some("clamp \"odd\""));
+    assert_eq!(parsed[0].str_of("name"), Ok("clamp \"odd\""));
+    for (line, value) in lines.iter().zip(&parsed) {
+        assert_eq!(value.render(), *line, "re-rendering is byte-identical");
+    }
     // Canonical forms carry stable fields only: no timing, no seq.
     let canon = journal.events()[0].kind.canonical();
     assert!(canon.contains("block_eval"), "{canon}");
     assert!(!canon.contains("dur_ns"), "{canon}");
+}
+
+#[test]
+fn journal_line_bytes_are_pinned() {
+    let event = Event {
+        seq: 41,
+        ts_ns: 1_234_567,
+        kind: EventKind::BlockEval {
+            block: 7,
+            name: "say \"hi\"\nbye".to_string(),
+            dur_ns: 89,
+        },
+    };
+    let line = event.to_json_line();
+    assert_eq!(
+        line,
+        r#"{"seq":41,"ts_ns":1234567,"class":"sem","kind":"block_eval","block":7,"name":"say \"hi\"\nbye","dur_ns":89}"#
+    );
+    assert_eq!(json::parse(&line).map(|v| v.render()), Ok(line));
+}
+
+#[test]
+fn chrome_trace_with_journal_instants_parses_back() {
+    let registry = Registry::new();
+    {
+        let _span = registry.span("outer \"q\"");
+        registry.journal().record(EventKind::SfrCheck { violations: 3 });
+    }
+    let value = json::parse(&registry.chrome_trace_json()).expect("trace must be valid JSON");
+    let events = value.arr_of("traceEvents").unwrap();
+    if !jtobs::ENABLED {
+        assert!(events.is_empty());
+        return;
+    }
+    let phases: Vec<&str> = events.iter().map(|e| e.str_of("ph").unwrap()).collect();
+    assert_eq!(phases, ["B", "E", "i"]);
+    assert_eq!(events[0].str_of("name"), Ok("outer \"q\""));
+    let detail = events[2].get("args").and_then(|a| a.get("detail"));
+    assert_eq!(detail, Some(&Json::Str("sfr_check violations=3".into())));
 }
 
 #[cfg(not(feature = "telemetry"))]
@@ -269,8 +309,8 @@ fn report_lists_every_metric_kind() {
 fn chrome_trace_of_empty_registry_parses() {
     let registry = Registry::new();
     let json = registry.chrome_trace_json();
-    let value = serde_json::from_str(&json).expect("empty trace must be valid JSON");
-    assert_eq!(value["traceEvents"].as_array().unwrap().len(), 0);
+    let value = json::parse(&json).expect("empty trace must be valid JSON");
+    assert_eq!(value.arr_of("traceEvents").unwrap().len(), 0);
 }
 
 /// Replays `script` (span depth deltas) against a registry: positive =
@@ -302,14 +342,11 @@ proptest! {
         let opened = run_span_script(&registry, &script);
 
         let json = registry.chrome_trace_json();
-        let value = match serde_json::from_str(&json) {
+        let value = match json::parse(&json) {
             Ok(v) => v,
             Err(e) => return Err(TestCaseError::fail(format!("bad JSON: {e}\n{json}"))),
         };
-        let events = value["traceEvents"]
-            .as_array()
-            .expect("traceEvents array")
-            .clone();
+        let events = value.arr_of("traceEvents").expect("traceEvents array").to_vec();
         if !jtobs::ENABLED {
             prop_assert!(events.is_empty());
             return Ok(());
@@ -322,11 +359,13 @@ proptest! {
             std::collections::BTreeMap::new();
         let mut last_ts = f64::MIN;
         for e in &events {
-            let name = e["name"].as_str().expect("name").to_string();
-            let phase = e["ph"].as_str().expect("ph");
-            let ts = e["ts"].as_f64().expect("ts");
-            let tid = e["tid"].as_i64().expect("tid");
-            prop_assert_eq!(e["pid"].as_i64(), Some(1));
+            let name = e.str_of("name").expect("name").to_string();
+            let phase = e.str_of("ph").expect("ph");
+            let Some(&Json::Float(ts)) = e.get("ts") else {
+                return Err(TestCaseError::fail(format!("fractional-µs ts expected: {e:?}")));
+            };
+            let tid = e.num_of("tid").expect("tid");
+            prop_assert_eq!(e.num_of("pid"), Ok(1));
             prop_assert!(ts >= last_ts, "events are time-ordered");
             last_ts = ts;
             let stack = stacks.entry(tid).or_default();

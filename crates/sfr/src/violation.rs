@@ -8,6 +8,7 @@
 //! any) can discharge it.
 
 use jtlang::token::Span;
+use jtobs::json::Json;
 use std::fmt;
 
 /// How a violation can be fixed.
@@ -112,93 +113,45 @@ pub fn render(v: &Violation, file: &str, source: &str) -> String {
     out
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a violation as one compact JSON object (the `jtlint --json`
-/// line format). Field order is fixed so the output is diffable:
-/// `rule`, `rule_title`, `class`, `message`, `span` (start/end byte
-/// offsets plus 1-based line/col), `fix` (`kind` plus `transform` +
-/// `description` for automated fixes or `guidance` for manual ones),
-/// and — when the caller has one — an `evidence` string carrying the
-/// analysis fact behind the finding (e.g. the proved loop bound that
-/// discharges or substantiates an R2 report).
-pub fn render_json(v: &Violation, evidence: Option<&str>) -> String {
-    use fmt::Write as _;
-
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"rule\":\"{}\",\"rule_title\":\"{}\",\"class\":\"{}\",\"message\":\"{}\"",
-        json_escape(v.rule),
-        json_escape(v.rule_title),
-        json_escape(&v.class),
-        json_escape(&v.message),
-    );
-    let _ = write!(
-        out,
-        ",\"span\":{{\"start\":{},\"end\":{},\"line\":{},\"col\":{}}}",
-        v.span.start, v.span.end, v.span.line, v.span.col
-    );
-    match &v.fix {
+/// Renders a violation as one JSON object (the `jtlint --json` line
+/// format). Field order is fixed so the output is diffable: `rule`,
+/// `rule_title`, `class`, `message`, `span` (start/end byte offsets plus
+/// 1-based line/col), `fix` (`kind` plus `transform` + `description`
+/// for automated fixes or `guidance` for manual ones), and — when the
+/// caller has one — the structured `evidence` object behind the finding
+/// (the `jtanalysis::evidence` derivation, which the independent
+/// `evidence_verify` checker re-validates).
+pub fn to_json(v: &Violation, evidence: Option<Json>) -> Json {
+    let span = Json::Obj(vec![
+        ("start".into(), v.span.start.into()),
+        ("end".into(), v.span.end.into()),
+        ("line".into(), u64::from(v.span.line).into()),
+        ("col".into(), u64::from(v.span.col).into()),
+    ]);
+    let fix = match &v.fix {
         Fix::Automated {
             transform,
             description,
-        } => {
-            let _ = write!(
-                out,
-                ",\"fix\":{{\"kind\":\"automated\",\"transform\":\"{}\",\"description\":\"{}\"}}",
-                json_escape(transform),
-                json_escape(description)
-            );
-        }
-        Fix::Manual { guidance } => {
-            let _ = write!(
-                out,
-                ",\"fix\":{{\"kind\":\"manual\",\"guidance\":\"{}\"}}",
-                json_escape(guidance)
-            );
-        }
-    }
-    if let Some(e) = evidence {
-        let _ = write!(out, ",\"evidence\":\"{}\"", json_escape(e));
-    }
-    out.push('}');
-    out
-}
-
-/// [`render_json`] with a *structured* evidence payload: `evidence_json`
-/// must already be a rendered JSON value (the `jtanalysis::evidence`
-/// chain for this finding) and is spliced in verbatim as the `evidence`
-/// field, so `jtlint --json` consumers — and the independent
-/// `evidence_verify` checker — receive a machine-checkable object
-/// instead of a prose string. With `None` the output is byte-identical
-/// to `render_json(v, None)`.
-pub fn render_json_object(v: &Violation, evidence_json: Option<&str>) -> String {
-    let mut out = render_json(v, None);
-    if let Some(e) = evidence_json {
-        out.pop();
-        out.push_str(",\"evidence\":");
-        out.push_str(e);
-        out.push('}');
-    }
-    out
+        } => Json::Obj(vec![
+            ("kind".into(), "automated".into()),
+            ("transform".into(), (*transform).into()),
+            ("description".into(), description.as_str().into()),
+        ]),
+        Fix::Manual { guidance } => Json::Obj(vec![
+            ("kind".into(), "manual".into()),
+            ("guidance".into(), guidance.as_str().into()),
+        ]),
+    };
+    let mut fields = vec![
+        ("rule".into(), v.rule.into()),
+        ("rule_title".into(), v.rule_title.into()),
+        ("class".into(), v.class.as_str().into()),
+        ("message".into(), v.message.as_str().into()),
+        ("span".into(), span),
+        ("fix".into(), fix),
+    ];
+    fields.extend(evidence.map(|e| ("evidence".to_string(), e)));
+    Json::Obj(fields)
 }
 
 #[cfg(test)]
@@ -271,25 +224,31 @@ mod tests {
     #[test]
     fn json_rendering_is_exact() {
         let v = Violation {
-            rule: "R2",
-            rule_title: "bounded loops only",
-            message: "loop bound for `for` in A.m is \"proved\"".to_string(),
-            span: Span::new(28, 33, 3, 9),
-            class: "A".to_string(),
+            rule: "R13",
+            rule_title: "blocks own their state",
+            message: "block writes \"foreign\" state".to_string(),
+            span: Span::new(4, 9, 1, 5),
+            class: "Tap".to_string(),
             fix: Fix::Automated {
                 transform: "while-to-for",
                 description: "rewrite as a capped `for` loop".to_string(),
             },
         };
+        let evidence = Json::Obj(vec![
+            ("kind".into(), "ownership".into()),
+            ("chain".into(), Json::Arr(vec![Json::Num(4), Json::Null])),
+        ]);
+        let text = to_json(&v, Some(evidence)).render();
         assert_eq!(
-            render_json(&v, Some("proved loop bound: 16")),
-            "{\"rule\":\"R2\",\"rule_title\":\"bounded loops only\",\"class\":\"A\",\
-             \"message\":\"loop bound for `for` in A.m is \\\"proved\\\"\",\
-             \"span\":{\"start\":28,\"end\":33,\"line\":3,\"col\":9},\
+            text,
+            "{\"rule\":\"R13\",\"rule_title\":\"blocks own their state\",\"class\":\"Tap\",\
+             \"message\":\"block writes \\\"foreign\\\" state\",\
+             \"span\":{\"start\":4,\"end\":9,\"line\":1,\"col\":5},\
              \"fix\":{\"kind\":\"automated\",\"transform\":\"while-to-for\",\
              \"description\":\"rewrite as a capped `for` loop\"},\
-             \"evidence\":\"proved loop bound: 16\"}"
+             \"evidence\":{\"kind\":\"ownership\",\"chain\":[4,null]}}"
         );
+        assert_eq!(jtobs::json::parse(&text).map(|j| j.render()), Ok(text));
         let manual = Violation {
             rule: "R6",
             rule_title: "no threads",
@@ -301,35 +260,12 @@ mod tests {
             },
         };
         assert_eq!(
-            render_json(&manual, None),
+            to_json(&manual, None).render(),
             "{\"rule\":\"R6\",\"rule_title\":\"no threads\",\"class\":\"W\\n\",\
              \"message\":\"class extends Thread\",\
              \"span\":{\"start\":0,\"end\":0,\"line\":0,\"col\":0},\
              \"fix\":{\"kind\":\"manual\",\"guidance\":\"model concurrency as blocks\"}}"
         );
-    }
-
-    #[test]
-    fn structured_evidence_is_spliced_verbatim() {
-        let v = Violation {
-            rule: "R13",
-            rule_title: "blocks own their state",
-            message: "block writes foreign state".to_string(),
-            span: Span::new(4, 9, 1, 5),
-            class: "Tap".to_string(),
-            fix: Fix::Manual {
-                guidance: "move the field into the block".to_string(),
-            },
-        };
-        assert_eq!(
-            render_json_object(&v, Some("{\"kind\":\"ownership\",\"verdict\":\"finding\"}")),
-            "{\"rule\":\"R13\",\"rule_title\":\"blocks own their state\",\"class\":\"Tap\",\
-             \"message\":\"block writes foreign state\",\
-             \"span\":{\"start\":4,\"end\":9,\"line\":1,\"col\":5},\
-             \"fix\":{\"kind\":\"manual\",\"guidance\":\"move the field into the block\"},\
-             \"evidence\":{\"kind\":\"ownership\",\"verdict\":\"finding\"}}"
-        );
-        assert_eq!(render_json_object(&v, None), render_json(&v, None));
     }
 
     #[test]

@@ -20,23 +20,17 @@
 //! re-runs the front end on that sample to obtain the AST it validates
 //! against.
 
-use jtanalysis::evidence::{Evidence, Json};
+use jtanalysis::evidence::Evidence;
 use std::io::BufRead as _;
 
 fn check_line(line: &str) -> Result<Option<&'static str>, String> {
-    let obj = Json::parse(line)?;
-    let rule = match obj.get("rule") {
-        Some(Json::Str(r)) => r.clone(),
-        _ => return Err("line has no `rule` field".to_string()),
-    };
-    if !matches!(rule.as_str(), "R2" | "R12" | "R13" | "R14") {
+    let obj = jtobs::json::parse(line)?;
+    let rule = obj.str_of("rule")?;
+    if !matches!(rule, "R2" | "R12" | "R13" | "R14") {
         return Ok(None);
     }
-    let file = match obj.get("file") {
-        Some(Json::Str(f)) => f.clone(),
-        _ => return Err("line has no `file` field".to_string()),
-    };
-    let name = file.strip_suffix(".jt").unwrap_or(&file);
+    let file = obj.str_of("file")?;
+    let name = file.strip_suffix(".jt").unwrap_or(file);
     let sample = jtlang::corpus::samples()
         .into_iter()
         .find(|s| s.name == name)

@@ -22,6 +22,7 @@
 //! divergence otherwise.
 
 use asr::prelude::*;
+use jtobs::json::Json;
 
 fn wide_system() -> Result<System, Box<dyn std::error::Error>> {
     let mut b = SystemBuilder::new("trace-demo");
@@ -87,23 +88,20 @@ fn record(out: &str, strategy: Strategy, instants: u64) -> Result<(), Box<dyn st
 }
 
 /// One semantic event, parsed and stripped of its volatile fields.
-fn semantic_events(path: &str) -> Result<Vec<serde_json::Value>, Box<dyn std::error::Error>> {
+fn semantic_events(path: &str) -> Result<Vec<Json>, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = serde_json::from_str(line)
-            .map_err(|e| format!("{path}:{}: bad JSON: {e:?}", i + 1))?;
-        if v.get("class").and_then(|c| c.as_str()) != Some("sem") {
+        let mut v = jtobs::json::parse(line)
+            .map_err(|e| format!("{path}:{}: bad JSON: {e}", i + 1))?;
+        if v.str_of("class") != Ok("sem") {
             continue;
         }
-        let mut v = v;
-        if let serde_json::Value::Object(map) = &mut v {
-            for key in jtobs::journal::VOLATILE_FIELDS {
-                map.remove(*key);
-            }
+        if let Json::Obj(fields) = &mut v {
+            fields.retain(|(k, _)| !jtobs::journal::VOLATILE_FIELDS.contains(&k.as_str()));
         }
         events.push(v);
     }
@@ -117,8 +115,8 @@ fn diff(a: &str, b: &str) -> Result<bool, Box<dyn std::error::Error>> {
     for i in 0..n {
         if ea[i] != eb[i] {
             eprintln!("jt-trace: semantic event #{i} diverges:");
-            eprintln!("  {a}: {}", serde_json::to_string(&ea[i]));
-            eprintln!("  {b}: {}", serde_json::to_string(&eb[i]));
+            eprintln!("  {a}: {}", ea[i].render());
+            eprintln!("  {b}: {}", eb[i].render());
             return Ok(false);
         }
     }

@@ -57,7 +57,8 @@
 
 use jtanalysis::db::AnalysisDb;
 use sfr::policy::{evidence_for, AnalysisContext, Policy};
-use sfr::violation::{render, render_json_object, Violation};
+use jtobs::json::Json;
+use sfr::violation::{self, render, Violation};
 
 /// Expected violation count per corpus sample under `Policy::asr()`.
 const SNAPSHOT: [(&str, usize); 14] = [
@@ -82,13 +83,13 @@ const RULES: [&str; 14] = [
     "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12", "R13", "R14",
 ];
 
-/// Lints one sample, pairing each violation with the rendered JSON of
-/// its structured evidence (present exactly for the proof-carrying
-/// rules R2/R12/R13/R14).
+/// Lints one sample, pairing each violation with the JSON of its
+/// structured evidence (present exactly for the proof-carrying rules
+/// R2/R12/R13/R14).
 fn lint(
     source: &str,
     db: Option<&mut AnalysisDb>,
-) -> Result<Vec<(Violation, Option<String>)>, String> {
+) -> Result<Vec<(Violation, Option<Json>)>, String> {
     let program = jtlang::check_source(source).map_err(|e| format!("front end: {e}"))?;
     let table =
         jtlang::resolve::resolve(&program).map_err(|e| format!("resolver: {e}"))?;
@@ -101,7 +102,7 @@ fn lint(
             .check_with_context(&cx)
             .into_iter()
             .map(|v| {
-                let e = evidence_for(&cx.flow, &v).map(|e| e.to_json().render());
+                let e = evidence_for(&cx.flow, &v).map(|e| e.to_json());
                 (v, e)
             })
             .collect()
@@ -109,12 +110,14 @@ fn lint(
     .map_err(|_| "analysis panicked (internal error)".to_string())
 }
 
-/// Prefixes `render_json_object` output with the originating `file` so
-/// each line is self-contained. The rendered object always starts with
-/// `{"rule":…`, so splicing after the brace is safe.
-fn json_line(file: &str, v: &Violation, evidence: Option<&str>) -> String {
-    let body = render_json_object(v, evidence);
-    format!("{{\"file\":\"{file}\",{}", &body[1..])
+/// [`violation::to_json`] with the originating `file` as its first
+/// field, so each line is self-contained.
+fn json_line(file: &str, v: &Violation, evidence: Option<Json>) -> String {
+    let mut line = violation::to_json(v, evidence);
+    if let Json::Obj(fields) = &mut line {
+        fields.insert(0, ("file".into(), file.into()));
+    }
+    line.render()
 }
 
 /// The `--precision` gate: interprocedural findings at `k = 1` must be
@@ -272,7 +275,7 @@ fn main() {
             Ok(violations) => {
                 if json {
                     for (v, evidence) in &violations {
-                        println!("{}", json_line(&file, v, evidence.as_deref()));
+                        println!("{}", json_line(&file, v, evidence.clone()));
                     }
                 } else if !check {
                     for (v, _) in &violations {

@@ -10,10 +10,11 @@
 //! accepted by the independent `evidence::verify` re-validation pass,
 //! which re-walks the source without re-running any solver.
 
-use jtanalysis::evidence::{self, Evidence, Json};
+use jtanalysis::evidence::{self, Evidence};
 use jtanalysis::flow::FlowReport;
 use jtanalysis::{callgraph, flow, frontend};
 use jtlang::corpus::{self, GenConfig};
+use jtobs::json::{self, Json};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -97,7 +98,7 @@ fn check_program(src: &str, name: &str) {
         assert!(failures.is_empty(), "`{name}`: {failures:?}");
         for e in all_evidence(r) {
             let rendered = e.to_json().render();
-            let back = Evidence::from_json(&Json::parse(&rendered).unwrap()).unwrap();
+            let back = Evidence::from_json(&json::parse(&rendered).unwrap()).unwrap();
             assert_eq!(&back, e, "`{name}`: JSON round trip drifts");
         }
     }
@@ -211,8 +212,48 @@ fn tampered_evidence_is_rejected() {
         &format!("\"span\":[{},{}]", write.span.start, write.span.end),
         &format!("\"span\":[{},{}]", write.span.start + 1, write.span.end + 1),
     );
-    let tampered = Evidence::from_json(&Json::parse(&j).unwrap()).unwrap();
+    let tampered = Evidence::from_json(&json::parse(&j).unwrap()).unwrap();
     assert!(evidence::verify(&p, &t, &tampered).is_err());
+}
+
+/// One `jtlint --json` line, byte for byte: the `file` field first, then
+/// the violation object with its structured evidence. The expected text
+/// is the line `jtlint --json` prints for this sample.
+#[test]
+fn jtlint_json_line_bytes_are_pinned() {
+    let sample = corpus::samples()
+        .into_iter()
+        .find(|s| s.name == "aliased_shared")
+        .expect("corpus sample");
+    let program = jtlang::check_source(sample.source).unwrap();
+    let table = jtlang::resolve::resolve(&program).unwrap();
+    let cx = sfr::policy::AnalysisContext::new(&program, &table);
+    let v = sfr::policy::Policy::asr()
+        .check_with_context(&cx)
+        .into_iter()
+        .find(|v| v.rule == "R14")
+        .expect("aliased_shared has an R14 finding");
+    let evidence = sfr::policy::evidence_for(&cx.flow, &v).map(|e| e.to_json());
+    let mut line = sfr::violation::to_json(&v, evidence);
+    if let Json::Obj(fields) = &mut line {
+        fields.insert(0, ("file".into(), "aliased_shared.jt".into()));
+    }
+    let text = line.render();
+    assert_eq!(
+        text,
+        concat!(
+            r#"{"file":"aliased_shared.jt","rule":"R14","rule_title":"no aliases of initialization-fixed state","#,
+            r#""class":"Registry","message":"`Registry.lookup` returns an alias of the mutable state held in field `slot`; "#,
+            r#"shared references defeat the fixed-at-initialization discipline","#,
+            r#""span":{"start":166,"end":172,"line":12,"col":5},"#,
+            r#""fix":{"kind":"manual","guidance":"return a copy of the data, or restructure so consumers receive values "#,
+            r#"through channels instead of sharing the backing object"},"#,
+            r#""evidence":{"kind":"alias_leak","verdict":"finding","class":"Registry","method":"lookup","field":"slot","#,
+            r#""via_return":true,"decl_span":[166,172],"witness_span":[192,198],"#,
+            r#""mutable_because":"target type `Shared` is an array or transitively declares fields"}}"#,
+        )
+    );
+    assert_eq!(json::parse(&text), Ok(line));
 }
 
 proptest! {
