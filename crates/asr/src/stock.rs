@@ -53,11 +53,7 @@ where
     }
 
     fn eval(&self, inputs: &[Value], outputs: &mut [Value]) -> Result<(), BlockError> {
-        if inputs.iter().any(Value::is_unknown) {
-            return Ok(()); // stay ⊥ until all inputs are determined
-        }
-        if inputs.contains(&Value::Absent) {
-            outputs.fill(Value::Absent);
+        if !strict_ready(inputs, outputs) {
             return Ok(());
         }
         let data: Vec<Datum> = inputs
@@ -78,6 +74,20 @@ where
         }
         Ok(())
     }
+}
+
+/// The strict prologue shared by the liftings: `false` (leaving
+/// `outputs` ⊥) until every input is determined, and `false` with every
+/// output `Absent` once any input is absent.
+fn strict_ready(inputs: &[Value], outputs: &mut [Value]) -> bool {
+    if inputs.iter().any(Value::is_unknown) {
+        return false;
+    }
+    if inputs.contains(&Value::Absent) {
+        outputs.fill(Value::Absent);
+        return false;
+    }
+    true
 }
 
 /// Strictly lifts `f` into a block with the given arities.
@@ -113,16 +123,58 @@ fn bool_arg(data: &[Datum], i: usize) -> Result<bool, BlockError> {
         .ok_or_else(|| BlockError::new(format!("input {i} must be a boolean, got {}", data[i])))
 }
 
+/// A strict binary integer operator. Equivalent to a [`lift`] of `f`,
+/// but it reads its two inputs in place instead of collecting them, so
+/// an instant allocates nothing here.
+struct BinopInt<F> {
+    name: String,
+    op: &'static str,
+    f: F,
+}
+
+impl<F> Block for BinopInt<F>
+where
+    F: Fn(i64, i64) -> Option<i64> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn input_arity(&self) -> usize {
+        2
+    }
+
+    fn output_arity(&self) -> usize {
+        1
+    }
+
+    fn eval(&self, inputs: &[Value], outputs: &mut [Value]) -> Result<(), BlockError> {
+        if !strict_ready(inputs, outputs) {
+            return Ok(());
+        }
+        let int_input = |i: usize| {
+            let d = inputs[i].datum().expect("known, non-absent value");
+            d.as_int()
+                .ok_or_else(|| BlockError::new(format!("input {i} must be an integer, got {d}")))
+        };
+        let (a, b) = (int_input(0)?, int_input(1)?);
+        let r = (self.f)(a, b)
+            .ok_or_else(|| BlockError::new(format!("{}({a}, {b}) overflowed", self.op)))?;
+        outputs[0] = Value::int(r);
+        Ok(())
+    }
+}
+
 fn binop_int(
     name: impl Into<String>,
     op: &'static str,
     f: impl Fn(i64, i64) -> Option<i64> + Send + Sync + 'static,
 ) -> impl Block {
-    lift(name, 2, 1, move |d| {
-        let (a, b) = (int_arg(d, 0)?, int_arg(d, 1)?);
-        let r = f(a, b).ok_or_else(|| BlockError::new(format!("{op}({a}, {b}) overflowed")))?;
-        Ok(vec![Datum::Int(r)])
-    })
+    BinopInt {
+        name: name.into(),
+        op,
+        f,
+    }
 }
 
 /// Integer addition (checked).

@@ -625,12 +625,15 @@ impl System {
                 return Err(EvalError::UnknownDelayInput(DelayId(d)));
             }
         }
+        let ins = &mut self.scratch.get_mut().expect("eval scratch lock").in_vals;
         for (b, block) in self.blocks.iter_mut().enumerate() {
-            let ins: Vec<Value> = self.block_in_sigs[b]
-                .iter()
-                .map(|&s| solution.signals[s].clone())
-                .collect();
-            block.tick(&ins).map_err(|e| EvalError::Block {
+            ins.clear();
+            ins.extend(
+                self.block_in_sigs[b]
+                    .iter()
+                    .map(|&s| solution.signals[s].clone()),
+            );
+            block.tick(ins).map_err(|e| EvalError::Block {
                 block: BlockId(b),
                 message: e.message().to_string(),
             })?;

@@ -19,7 +19,22 @@ pub enum ParseError {
         /// Where.
         span: Span,
     },
+    /// Expressions, types or statements nest deeper than [`MAX_NESTING`].
+    TooDeep {
+        /// Where the first level past the limit starts.
+        span: Span,
+    },
 }
+
+/// How deep expressions, types and statements may nest: parentheses,
+/// unary operators, operands of binary operators, postfix accesses,
+/// `[]` suffixes and statement bodies each add a level. The parser and
+/// every later pass over the tree recurse once per level, so the limit
+/// bounds their stack use. A level of parentheses or blocks takes about
+/// 10 KiB of parser stack in a debug build, so input at the limit still
+/// parses, resolves and passes the policy check on the 2 MiB stack of a
+/// test thread.
+pub const MAX_NESTING: usize = 128;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,6 +45,10 @@ impl fmt::Display for ParseError {
                 found,
                 span,
             } => write!(f, "parse error at {span}: expected {expected}, found `{found}`"),
+            ParseError::TooDeep { span } => write!(
+                f,
+                "parse error at {span}: nesting deeper than {MAX_NESTING} levels"
+            ),
         }
     }
 }
@@ -59,14 +78,38 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         next_id: 0,
+        depth: 0,
     }
     .program()
+}
+
+/// The binary operator `kind` denotes, with its precedence level (0
+/// binds loosest), if any.
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, usize)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 0),
+        TokenKind::AndAnd => (BinOp::And, 1),
+        TokenKind::EqEq => (BinOp::Eq, 2),
+        TokenKind::NotEq => (BinOp::Ne, 2),
+        TokenKind::Lt => (BinOp::Lt, 3),
+        TokenKind::Le => (BinOp::Le, 3),
+        TokenKind::Gt => (BinOp::Gt, 3),
+        TokenKind::Ge => (BinOp::Ge, 3),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Slash => (BinOp::Div, 5),
+        TokenKind::Percent => (BinOp::Rem, 5),
+        _ => return None,
+    })
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -139,6 +182,31 @@ impl Parser {
             found: self.peek_kind().to_string(),
             span: self.peek().span,
         }
+    }
+
+    /// Enters one more nesting level, failing past [`MAX_NESTING`].
+    /// Loops that build a left-deep tree (binary operator chains,
+    /// postfix chains, `[]` suffixes) call it once per node and restore
+    /// `depth` when the tree is done.
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::TooDeep {
+                span: self.peek().span,
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deeper()?;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn program(mut self) -> Result<Program, ParseError> {
@@ -309,7 +377,7 @@ impl Parser {
     }
 
     fn ty(&mut self) -> Result<Type, ParseError> {
-        let mut base = match self.peek_kind().clone() {
+        let base = match self.peek_kind().clone() {
             TokenKind::IntTy => {
                 self.bump();
                 Type::Int
@@ -324,12 +392,20 @@ impl Parser {
             }
             _ => return Err(self.unexpected("a type")),
         };
+        self.array_suffixes(base)
+    }
+
+    /// Wraps `ty` in one array level per trailing `[]`.
+    fn array_suffixes(&mut self, mut ty: Type) -> Result<Type, ParseError> {
+        let outer = self.depth;
         while self.at(&TokenKind::LBracket) && matches!(self.peek2_kind(), TokenKind::RBracket) {
+            self.deeper()?;
             self.bump();
             self.bump();
-            base = base.array_of();
+            ty = ty.array_of();
         }
-        Ok(base)
+        self.depth = outer;
+        Ok(ty)
     }
 
     fn block(&mut self) -> Result<Block, ParseError> {
@@ -371,6 +447,13 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    /// Dispatches on the statement's first token. The larger forms have
+    /// functions of their own, which keeps this frame, and so the stack
+    /// used per nesting level, small.
+    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         let start = self.peek().span;
         match self.peek_kind() {
             TokenKind::LBrace => {
@@ -381,86 +464,10 @@ impl Parser {
                     kind: StmtKind::Block(b),
                 })
             }
-            TokenKind::If => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                let then_branch = Box::new(self.stmt()?);
-                let else_branch = if self.eat(&TokenKind::Else) {
-                    Some(Box::new(self.stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt {
-                    id: self.id(),
-                    span: start,
-                    kind: StmtKind::If {
-                        cond,
-                        then_branch,
-                        else_branch,
-                    },
-                })
-            }
-            TokenKind::While => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                let body = Box::new(self.stmt()?);
-                Ok(Stmt {
-                    id: self.id(),
-                    span: start,
-                    kind: StmtKind::While { cond, body },
-                })
-            }
-            TokenKind::Do => {
-                self.bump();
-                let body = Box::new(self.stmt()?);
-                self.expect(&TokenKind::While)?;
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semi)?;
-                Ok(Stmt {
-                    id: self.id(),
-                    span: start,
-                    kind: StmtKind::DoWhile { body, cond },
-                })
-            }
-            TokenKind::For => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let init = if self.at(&TokenKind::Semi) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt_no_semi()?))
-                };
-                self.expect(&TokenKind::Semi)?;
-                let cond = if self.at(&TokenKind::Semi) {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(&TokenKind::Semi)?;
-                let update = if self.at(&TokenKind::RParen) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt_no_semi()?))
-                };
-                self.expect(&TokenKind::RParen)?;
-                let body = Box::new(self.stmt()?);
-                Ok(Stmt {
-                    id: self.id(),
-                    span: start,
-                    kind: StmtKind::For {
-                        init,
-                        cond,
-                        update,
-                        body,
-                    },
-                })
-            }
+            TokenKind::If => self.if_stmt(start),
+            TokenKind::While => self.while_stmt(start),
+            TokenKind::Do => self.do_while_stmt(start),
+            TokenKind::For => self.for_stmt(start),
             TokenKind::Return => {
                 self.bump();
                 let value = if self.at(&TokenKind::Semi) {
@@ -499,6 +506,90 @@ impl Parser {
                 Ok(s)
             }
         }
+    }
+
+    fn if_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen)?;
+        let then_branch = Box::new(self.stmt()?);
+        let else_branch = if self.eat(&TokenKind::Else) {
+            Some(Box::new(self.stmt()?))
+        } else {
+            None
+        };
+        Ok(Stmt {
+            id: self.id(),
+            span: start,
+            kind: StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            },
+        })
+    }
+
+    fn while_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen)?;
+        let body = Box::new(self.stmt()?);
+        Ok(Stmt {
+            id: self.id(),
+            span: start,
+            kind: StmtKind::While { cond, body },
+        })
+    }
+
+    fn do_while_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        let body = Box::new(self.stmt()?);
+        self.expect(&TokenKind::While)?;
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(&TokenKind::RParen)?;
+        self.expect(&TokenKind::Semi)?;
+        Ok(Stmt {
+            id: self.id(),
+            span: start,
+            kind: StmtKind::DoWhile { body, cond },
+        })
+    }
+
+    fn for_stmt(&mut self, start: Span) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let init = if self.at(&TokenKind::Semi) {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt_no_semi()?))
+        };
+        self.expect(&TokenKind::Semi)?;
+        let cond = if self.at(&TokenKind::Semi) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(&TokenKind::Semi)?;
+        let update = if self.at(&TokenKind::RParen) {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt_no_semi()?))
+        };
+        self.expect(&TokenKind::RParen)?;
+        let body = Box::new(self.stmt()?);
+        Ok(Stmt {
+            id: self.id(),
+            span: start,
+            kind: StmtKind::For {
+                init,
+                cond,
+                update,
+                body,
+            },
+        })
     }
 
     /// A declaration, assignment, increment, or expression statement
@@ -570,86 +661,23 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.nested(|p| p.binary_expr(0))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.at(&TokenKind::OrOr) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = self.binary(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality_expr()?;
-        while self.at(&TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.equality_expr()?;
-            lhs = self.binary(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.relational_expr()?;
-            lhs = self.binary(op, lhs, rhs);
-        }
-    }
-
-    fn relational_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.additive_expr()?;
-            lhs = self.binary(op, lhs, rhs);
-        }
-    }
-
-    fn additive_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.multiplicative_expr()?;
-            lhs = self.binary(op, lhs, rhs);
-        }
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<Expr, ParseError> {
+    /// A chain of left-associative binary operators of precedence
+    /// `min_level` or tighter (see [`binary_op`]), by precedence
+    /// climbing: one stack frame per operand, not per level.
+    fn binary_expr(&mut self, min_level: usize) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
-            };
+        while let Some((op, level)) = binary_op(self.peek_kind()).filter(|&(_, l)| l >= min_level) {
             self.bump();
-            let rhs = self.unary_expr()?;
+            self.deeper()?;
+            let rhs = self.binary_expr(level + 1)?;
             lhs = self.binary(op, lhs, rhs);
         }
+        self.depth = outer;
+        Ok(lhs)
     }
 
     fn binary(&mut self, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
@@ -674,7 +702,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let expr = self.unary_expr()?;
+            let expr = self.nested(Self::unary_expr)?;
             let span = start.to(expr.span);
             return Ok(Expr {
                 id: self.id(),
@@ -689,8 +717,12 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut expr = self.primary_expr()?;
         loop {
+            if self.at(&TokenKind::Dot) || self.at(&TokenKind::LBracket) {
+                self.deeper()?;
+            }
             if self.eat(&TokenKind::Dot) {
                 let (name, name_span) = self.expect_ident("a member name")?;
                 if self.at(&TokenKind::LParen) {
@@ -739,6 +771,7 @@ impl Parser {
                     },
                 };
             } else {
+                self.depth = outer;
                 return Ok(expr);
             }
         }
@@ -759,6 +792,9 @@ impl Parser {
         Ok(args)
     }
 
+    /// A literal, `this`, a parenthesized expression, or (through
+    /// functions of their own, to keep this frame small) an allocation,
+    /// a variable or a call.
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         let start = self.peek().span;
         match self.peek_kind().clone() {
@@ -802,61 +838,67 @@ impl Parser {
                     kind: ExprKind::This,
                 })
             }
-            TokenKind::New => {
-                self.bump();
-                match self.peek_kind().clone() {
-                    TokenKind::IntTy | TokenKind::BooleanTy => {
-                        let elem = if self.bump().kind == TokenKind::IntTy {
-                            Type::Int
-                        } else {
-                            Type::Boolean
-                        };
-                        self.new_array(start, elem)
-                    }
-                    TokenKind::Ident(class) => {
-                        self.bump();
-                        if self.at(&TokenKind::LBracket) {
-                            self.new_array(start, Type::Class(class))
-                        } else {
-                            let args = self.args()?;
-                            Ok(Expr {
-                                id: self.id(),
-                                span: start.to(self.prev_span()),
-                                kind: ExprKind::NewObject { class, args },
-                            })
-                        }
-                    }
-                    _ => Err(self.unexpected("a type after `new`")),
-                }
-            }
+            TokenKind::New => self.new_expr(start),
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident(name) => {
+            TokenKind::Ident(name) => self.name_expr(start, name),
+            _ => Err(self.unexpected("an expression")),
+        }
+    }
+
+    /// `new T(args)` or `new T[len]…`, with `new` next.
+    fn new_expr(&mut self, start: Span) -> Result<Expr, ParseError> {
+        self.bump();
+        match self.peek_kind().clone() {
+            TokenKind::IntTy | TokenKind::BooleanTy => {
+                let elem = if self.bump().kind == TokenKind::IntTy {
+                    Type::Int
+                } else {
+                    Type::Boolean
+                };
+                self.new_array(start, elem)
+            }
+            TokenKind::Ident(class) => {
                 self.bump();
-                if self.at(&TokenKind::LParen) {
+                if self.at(&TokenKind::LBracket) {
+                    self.new_array(start, Type::Class(class))
+                } else {
                     let args = self.args()?;
                     Ok(Expr {
                         id: self.id(),
                         span: start.to(self.prev_span()),
-                        kind: ExprKind::Call {
-                            receiver: None,
-                            method: name,
-                            args,
-                        },
-                    })
-                } else {
-                    Ok(Expr {
-                        id: self.id(),
-                        span: start,
-                        kind: ExprKind::Var(name),
+                        kind: ExprKind::NewObject { class, args },
                     })
                 }
             }
-            _ => Err(self.unexpected("an expression")),
+            _ => Err(self.unexpected("a type after `new`")),
+        }
+    }
+
+    /// A variable or an unqualified call, with its name next.
+    fn name_expr(&mut self, start: Span, name: String) -> Result<Expr, ParseError> {
+        self.bump();
+        if self.at(&TokenKind::LParen) {
+            let args = self.args()?;
+            Ok(Expr {
+                id: self.id(),
+                span: start.to(self.prev_span()),
+                kind: ExprKind::Call {
+                    receiver: None,
+                    method: name,
+                    args,
+                },
+            })
+        } else {
+            Ok(Expr {
+                id: self.id(),
+                span: start,
+                kind: ExprKind::Var(name),
+            })
         }
     }
 
@@ -867,12 +909,7 @@ impl Parser {
         self.expect(&TokenKind::LBracket)?;
         let len = self.expr()?;
         self.expect(&TokenKind::RBracket)?;
-        let mut elem = elem;
-        while self.at(&TokenKind::LBracket) && matches!(self.peek2_kind(), TokenKind::RBracket) {
-            self.bump();
-            self.bump();
-            elem = elem.array_of();
-        }
+        let elem = self.array_suffixes(elem)?;
         Ok(Expr {
             id: self.id(),
             span: start.to(self.prev_span()),
@@ -1035,5 +1072,56 @@ mod tests {
             panic!()
         };
         assert_eq!(call.span.end - call.span.start, "go(1)".len());
+    }
+
+    /// `class A { int[] a; int m() { body } }`.
+    fn method(body: &str) -> String {
+        format!("class A {{ int[] a; int m() {{ {body} }} }}")
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_and_past_it_is_an_error() {
+        let shapes: [(&str, fn(usize) -> String); 6] = [
+            ("parentheses", |n| {
+                method(&format!("return {}1{};", "(".repeat(n), ")".repeat(n)))
+            }),
+            ("unary operators", |n| {
+                method(&format!("return {}1;", "- ".repeat(n)))
+            }),
+            ("binary operators", |n| {
+                method(&format!("return 1{};", "+1".repeat(n)))
+            }),
+            ("postfix chains", |n| {
+                method(&format!("return a{}.length;", "[0]".repeat(n)))
+            }),
+            ("array types", |n| {
+                method(&format!("int{} b; return 0;", "[]".repeat(n)))
+            }),
+            ("blocks", |n| {
+                method(&format!("{}{}", "{".repeat(n), "}".repeat(n)))
+            }),
+        ];
+        for (what, src) in shapes {
+            // The method body and the enclosing statement take a level
+            // or two, so the deepest accepted input sits just below the
+            // limit.
+            let deepest = (0..=MAX_NESTING)
+                .rev()
+                .find(|&n| parse(&src(n)).is_ok())
+                .unwrap_or_else(|| panic!("{what}: nothing parses"));
+            assert!(
+                deepest + 3 >= MAX_NESTING,
+                "{what}: only {deepest} levels parse"
+            );
+            assert!(
+                matches!(parse(&src(deepest + 1)), Err(ParseError::TooDeep { .. })),
+                "{what}: one level deeper must be rejected"
+            );
+            let err = parse(&src(10_000)).unwrap_err();
+            assert!(
+                err.to_string().contains("nesting deeper than"),
+                "{what}: {err}"
+            );
+        }
     }
 }

@@ -46,18 +46,6 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-
-impl From<i64> for Json {
-    fn from(n: i64) -> Json {
-        Json::Num(n)
-    }
-}
-
 /// Counts, ids and nanosecond stamps; values beyond `i64::MAX` become
 /// [`Json::Float`].
 impl From<u64> for Json {
@@ -69,12 +57,6 @@ impl From<u64> for Json {
 impl From<usize> for Json {
     fn from(n: usize) -> Json {
         Json::from(n as u64)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(x: f64) -> Json {
-        Json::Float(x)
     }
 }
 
@@ -297,7 +279,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     if bytes[*pos] == b'-' {
         *pos += 1;
     }
+    let int_start = *pos;
     let mut ok = digits(pos);
+    // JSON forbids leading zeros: a `0` integer part stands alone.
+    if bytes.get(int_start) == Some(&b'0') && *pos - int_start > 1 {
+        let text = String::from_utf8_lossy(&bytes[start..*pos]);
+        return Err(format!("leading zero in `{text}`"));
+    }
     let mut integral = true;
     if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
@@ -374,6 +362,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => {
+                return Err(format!(
+                    "raw control byte 0x{b:02x} in string at byte {pos}"
+                ))
+            }
             Some(_) => {
                 // Consume one UTF-8 scalar.
                 let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad UTF-8")?;
@@ -418,9 +411,22 @@ mod tests {
 
     #[test]
     fn malformed_input_is_an_error() {
-        for bad in ["", "[1,", "[1,]", "{}x", "{\"a\" 1}", "1.", "-", "1e", "\"\\x\"", "[1] x", "1e999", "nul"] {
+        for bad in [
+            "", "[1,", "[1,]", "{}x", "{\"a\" 1}", "1.", "-", "1e", "\"\\x\"", "[1] x", "1e999",
+            "nul", "\"unterminated", "{", "\"a\nb\"", "\"tab\there\"", "01", "-01", "[00]",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn zeros_and_escaped_controls_still_parse() {
+        assert_eq!(parse("0"), Ok(Json::Num(0)));
+        assert_eq!(parse("-0"), Ok(Json::Num(0)));
+        assert_eq!(parse("0.5"), Ok(Json::Float(0.5)));
+        assert_eq!(parse("-0e1"), Ok(Json::Float(-0.0)));
+        assert_eq!(parse("[0,10]"), Ok(Json::Arr(vec![Json::Num(0), Json::Num(10)])));
+        assert_eq!(parse("\"a\\nb\""), Ok(Json::Str("a\nb".into())));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct Interpreter {
     meter: CostMeter,
     main_class: String,
     this_ref: Option<ObjRef>,
-    io: Option<Io>,
+    io: Io,
     last_cost: PhaseCost,
     statics: HashMap<(String, String), RtValue>,
     source_bytes: usize,
@@ -118,7 +118,7 @@ impl Interpreter {
             meter: CostMeter::new(),
             main_class: main_class.to_string(),
             this_ref: None,
-            io: None,
+            io: Io::default(),
             last_cost: PhaseCost::default(),
             statics: HashMap::new(),
             source_bytes,
@@ -732,13 +732,12 @@ impl Interpreter {
         match method {
             "read" => {
                 let port = arg(0)?.as_int().ok_or(RuntimeError::Internal("port".into()))?;
-                let io = self.require_io()?;
-                Ok(Some(RtValue::Int(io.read(port)?)))
+                Ok(Some(RtValue::Int(self.io.read(port)?)))
             }
             "readVec" => {
                 let port = arg(0)?.as_int().ok_or(RuntimeError::Internal("port".into()))?;
                 let items: Vec<RtValue> = self
-                    .require_io()?
+                    .io
                     .read_vec(port)?
                     .iter()
                     .map(|&v| RtValue::Int(v))
@@ -748,7 +747,7 @@ impl Interpreter {
             "write" => {
                 let port = arg(0)?.as_int().ok_or(RuntimeError::Internal("port".into()))?;
                 let value = arg(1)?.as_int().ok_or(RuntimeError::Internal("value".into()))?;
-                self.require_io_mut()?.write(port, value)?;
+                self.io.write(port, value)?;
                 Ok(None)
             }
             "writeVec" => {
@@ -768,7 +767,7 @@ impl Interpreter {
                             .ok_or_else(|| RuntimeError::Internal("non-int array".into()))?,
                     );
                 }
-                self.require_io_mut()?.write_vec(port, items)?;
+                self.io.write_vec(port, items)?;
                 Ok(None)
             }
             "wait" | "notify" | "notifyAll" | "sleep" | "join" | "start" => {
@@ -778,18 +777,6 @@ impl Interpreter {
             }
             other => Err(RuntimeError::Internal(format!("no method `{other}`"))),
         }
-    }
-
-    fn require_io(&self) -> Result<&Io, RuntimeError> {
-        self.io
-            .as_ref()
-            .ok_or_else(|| RuntimeError::Unsupported("port I/O outside react()".into()))
-    }
-
-    fn require_io_mut(&mut self) -> Result<&mut Io, RuntimeError> {
-        self.io
-            .as_mut()
-            .ok_or_else(|| RuntimeError::Unsupported("port I/O outside react()".into()))
     }
 }
 
@@ -845,7 +832,11 @@ impl Engine for Interpreter {
         Ok(())
     }
 
-    fn react(&mut self, inputs: &[PortDatum]) -> Result<Vec<Option<PortDatum>>, RuntimeError> {
+    fn react_into(
+        &mut self,
+        inputs: &[PortDatum],
+        outputs: &mut Vec<Option<PortDatum>>,
+    ) -> Result<(), RuntimeError> {
         let Some(this_ref) = self.this_ref else {
             return Err(RuntimeError::Internal("react before initialize".into()));
         };
@@ -856,7 +847,7 @@ impl Engine for Interpreter {
         self.depth_hwm = 0;
         self.meter.reset();
         self.heap.reset_stats();
-        self.io = Some(Io::begin(inputs, 0));
+        self.io.restart(inputs);
         let class = self.layouts.layout(self.heap.class_of(this_ref)?).name.clone();
         let mut frame = Frame::new(this_ref, &class);
         let run = Expr {
@@ -869,7 +860,7 @@ impl Engine for Interpreter {
             },
         };
         let result = self.eval_allow_void(&mut frame, &run);
-        let io = self.io.take().expect("io set above");
+        self.io.end();
         self.last_cost = PhaseCost {
             steps: self.meter.steps(),
             heap: self.heap.stats(),
@@ -884,7 +875,8 @@ impl Engine for Interpreter {
             );
         }
         result?;
-        Ok(io.finish())
+        self.io.outputs().clone_into(outputs);
+        Ok(())
     }
 
     fn last_cost(&self) -> PhaseCost {

@@ -10,7 +10,7 @@
 use crate::error::RuntimeError;
 
 /// A value carried by an ASR port during one instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum PortDatum {
     /// A scalar sample.
     Int(i64),
@@ -18,21 +18,58 @@ pub enum PortDatum {
     Vec(Vec<i64>),
 }
 
-/// The port state for one reaction.
+impl Clone for PortDatum {
+    fn clone(&self) -> Self {
+        match self {
+            PortDatum::Int(v) => PortDatum::Int(*v),
+            PortDatum::Vec(v) => PortDatum::Vec(v.clone()),
+        }
+    }
+
+    /// Reuses the destination's vector buffer when both sides are
+    /// vectors, so a port re-presented every instant allocates only when
+    /// its sample grows.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (PortDatum::Vec(dst), PortDatum::Vec(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
+}
+
+/// The port state of an engine, restarted for every reaction.
+///
+/// An engine keeps one `Io` for its whole life: [`Io::restart`] copies
+/// the inputs into the previous reaction's buffers, so a steady-state
+/// reaction allocates nothing here. Port I/O between [`Io::end`] and
+/// the next restart (e.g. from a constructor) is an error.
 #[derive(Debug, Clone, Default)]
 pub struct Io {
     inputs: Vec<PortDatum>,
     outputs: Vec<Option<PortDatum>>,
+    live: bool,
 }
 
 impl Io {
-    /// Starts a reaction with the given input port values and `n_outputs`
-    /// output ports, all initially unwritten.
-    pub fn begin(inputs: &[PortDatum], n_outputs: usize) -> Self {
-        Io {
-            inputs: inputs.to_vec(),
-            outputs: vec![None; n_outputs],
-        }
+    /// Starts a reaction: presents `inputs` on the input ports and marks
+    /// every output port unwritten, reusing the buffers of the last
+    /// reaction.
+    pub fn restart(&mut self, inputs: &[PortDatum]) {
+        inputs.clone_into(&mut self.inputs);
+        self.outputs.clear();
+        self.live = true;
+    }
+
+    /// Ends the reaction: port I/O fails until the next
+    /// [`Io::restart`].
+    pub fn end(&mut self) {
+        self.live = false;
+    }
+
+    /// The outputs written by the current or last reaction (`None` for
+    /// ports the program did not write — absent signals).
+    pub fn outputs(&self) -> &[Option<PortDatum>] {
+        &self.outputs
     }
 
     /// Reads the scalar on input `port`.
@@ -60,6 +97,7 @@ impl Io {
     }
 
     fn input(&self, port: i64) -> Result<&PortDatum, RuntimeError> {
+        self.require_live()?;
         usize::try_from(port)
             .ok()
             .and_then(|i| self.inputs.get(i))
@@ -87,6 +125,7 @@ impl Io {
     }
 
     fn output_slot(&mut self, port: i64) -> Result<&mut Option<PortDatum>, RuntimeError> {
+        self.require_live()?;
         let idx = usize::try_from(port).map_err(|_| RuntimeError::PortOutOfRange { port })?;
         if idx >= self.outputs.len() {
             self.outputs.resize(idx + 1, None);
@@ -94,10 +133,12 @@ impl Io {
         Ok(&mut self.outputs[idx])
     }
 
-    /// Finishes the reaction, yielding the written outputs (`None` for
-    /// ports the program did not write this instant — absent signals).
-    pub fn finish(self) -> Vec<Option<PortDatum>> {
-        self.outputs
+    fn require_live(&self) -> Result<(), RuntimeError> {
+        if self.live {
+            Ok(())
+        } else {
+            Err(RuntimeError::Unsupported("port I/O outside react()".into()))
+        }
     }
 }
 
@@ -105,9 +146,15 @@ impl Io {
 mod tests {
     use super::*;
 
+    fn started(inputs: &[PortDatum]) -> Io {
+        let mut io = Io::default();
+        io.restart(inputs);
+        io
+    }
+
     #[test]
     fn reads_are_repeatable_within_an_instant() {
-        let io = Io::begin(&[PortDatum::Int(5), PortDatum::Vec(vec![1, 2])], 1);
+        let io = started(&[PortDatum::Int(5), PortDatum::Vec(vec![1, 2])]);
         assert_eq!(io.read(0).unwrap(), 5);
         assert_eq!(io.read(0).unwrap(), 5);
         assert_eq!(io.read_vec(1).unwrap(), &[1, 2]);
@@ -115,7 +162,7 @@ mod tests {
 
     #[test]
     fn kind_and_range_errors() {
-        let io = Io::begin(&[PortDatum::Int(5)], 1);
+        let io = started(&[PortDatum::Int(5)]);
         assert!(matches!(
             io.read(1),
             Err(RuntimeError::PortOutOfRange { port: 1 })
@@ -132,14 +179,39 @@ mod tests {
 
     #[test]
     fn outputs_grow_and_report_unwritten_ports() {
-        let mut io = Io::begin(&[], 1);
+        let mut io = started(&[]);
         io.write(2, 9).unwrap();
         io.write_vec(0, vec![3]).unwrap();
         assert!(io.write(-1, 0).is_err());
-        let outs = io.finish();
+        let outs = io.outputs();
         assert_eq!(outs.len(), 3);
         assert_eq!(outs[0], Some(PortDatum::Vec(vec![3])));
         assert_eq!(outs[1], None);
         assert_eq!(outs[2], Some(PortDatum::Int(9)));
+    }
+
+    #[test]
+    fn restart_reuses_buffers_and_forgets_outputs() {
+        let mut io = started(&[PortDatum::Vec(vec![1, 2, 3])]);
+        io.write(1, 4).unwrap();
+        let buf = io.read_vec(0).unwrap().as_ptr();
+        io.end();
+        io.restart(&[PortDatum::Vec(vec![7, 8])]);
+        assert_eq!(io.read_vec(0).unwrap(), &[7, 8]);
+        assert_eq!(
+            io.read_vec(0).unwrap().as_ptr(),
+            buf,
+            "vector port reallocated"
+        );
+        assert!(io.outputs().is_empty());
+    }
+
+    #[test]
+    fn port_io_outside_a_reaction_is_an_error() {
+        let mut io = Io::default();
+        assert!(matches!(io.read(0), Err(RuntimeError::Unsupported(_))));
+        io.restart(&[PortDatum::Int(1)]);
+        io.end();
+        assert!(matches!(io.write(0, 1), Err(RuntimeError::Unsupported(_))));
     }
 }

@@ -401,7 +401,11 @@ impl Engine for NativeVm {
         Ok(())
     }
 
-    fn react(&mut self, inputs: &[PortDatum]) -> Result<Vec<Option<PortDatum>>, RuntimeError> {
+    fn react_into(
+        &mut self,
+        inputs: &[PortDatum],
+        outputs: &mut Vec<Option<PortDatum>>,
+    ) -> Result<(), RuntimeError> {
         match &self.code {
             Some(Ok(_)) => {}
             Some(Err(r)) => {
@@ -420,7 +424,7 @@ impl Engine for NativeVm {
         }
         self.vm.meter.reset();
         self.vm.heap.reset_stats();
-        self.vm.io = Some(Io::begin(inputs, 0));
+        self.vm.io.restart(inputs);
         let track = jtobs::ENABLED && self.obs.is_some();
         let result = {
             // Split borrows: the op array is read-only while the heap,
@@ -441,13 +445,13 @@ impl Engine for NativeVm {
                 frame,
                 &mut vm.heap,
                 &mut vm.statics,
-                vm.io.as_mut().expect("io set above"),
+                &mut vm.io,
                 &mut vm.meter,
                 track,
                 class_scratch,
             )
         };
-        let io = self.vm.io.take().expect("io set above");
+        self.vm.io.end();
         self.last_cost = PhaseCost {
             steps: self.vm.meter.steps(),
             heap: self.vm.heap.stats(),
@@ -458,7 +462,8 @@ impl Engine for NativeVm {
             obs.react_end(result.as_ref().map(|_| ()), &self.last_cost, 1, self.step_bound);
         }
         result?;
-        Ok(io.finish())
+        self.vm.io.outputs().clone_into(outputs);
+        Ok(())
     }
 
     fn last_cost(&self) -> PhaseCost {

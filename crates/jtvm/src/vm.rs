@@ -45,7 +45,7 @@ pub struct CompiledVm {
     pub(crate) statics: Vec<RtValue>,
     pub(crate) this_ref: Option<ObjRef>,
     main_class: ClassId,
-    pub(crate) io: Option<Io>,
+    pub(crate) io: Io,
     last_cost: PhaseCost,
     run_name: Option<u32>,
     obs: Option<EngineObs>,
@@ -88,7 +88,7 @@ impl CompiledVm {
             statics,
             this_ref: None,
             main_class: main_id,
-            io: None,
+            io: Io::default(),
             last_cost: PhaseCost::default(),
             run_name,
             obs: None,
@@ -488,13 +488,12 @@ impl CompiledVm {
         match op {
             BuiltinOp::Read => {
                 let port = args[0].as_int().ok_or(RuntimeError::Internal("port".into()))?;
-                let io = self.require_io()?;
-                Ok(RtValue::Int(io.read(port)?))
+                Ok(RtValue::Int(self.io.read(port)?))
             }
             BuiltinOp::ReadVec => {
                 let port = args[0].as_int().ok_or(RuntimeError::Internal("port".into()))?;
                 let items: Vec<RtValue> = self
-                    .require_io()?
+                    .io
                     .read_vec(port)?
                     .iter()
                     .map(|&v| RtValue::Int(v))
@@ -504,7 +503,7 @@ impl CompiledVm {
             BuiltinOp::Write => {
                 let port = args[0].as_int().ok_or(RuntimeError::Internal("port".into()))?;
                 let value = args[1].as_int().ok_or(RuntimeError::Internal("value".into()))?;
-                self.require_io_mut()?.write(port, value)?;
+                self.io.write(port, value)?;
                 Ok(RtValue::Null)
             }
             BuiltinOp::WriteVec => {
@@ -524,7 +523,7 @@ impl CompiledVm {
                             .ok_or_else(|| RuntimeError::Internal("non-int array".into()))?,
                     );
                 }
-                self.require_io_mut()?.write_vec(port, items)?;
+                self.io.write_vec(port, items)?;
                 Ok(RtValue::Null)
             }
             BuiltinOp::Unsupported => Err(RuntimeError::Unsupported(format!(
@@ -532,18 +531,6 @@ impl CompiledVm {
                 module.names[name as usize]
             ))),
         }
-    }
-
-    fn require_io(&self) -> Result<&Io, RuntimeError> {
-        self.io
-            .as_ref()
-            .ok_or_else(|| RuntimeError::Unsupported("port I/O outside react()".into()))
-    }
-
-    fn require_io_mut(&mut self) -> Result<&mut Io, RuntimeError> {
-        self.io
-            .as_mut()
-            .ok_or_else(|| RuntimeError::Unsupported("port I/O outside react()".into()))
     }
 }
 
@@ -565,7 +552,11 @@ impl Engine for CompiledVm {
         Ok(())
     }
 
-    fn react(&mut self, inputs: &[PortDatum]) -> Result<Vec<Option<PortDatum>>, RuntimeError> {
+    fn react_into(
+        &mut self,
+        inputs: &[PortDatum],
+        outputs: &mut Vec<Option<PortDatum>>,
+    ) -> Result<(), RuntimeError> {
         let Some(this_ref) = self.this_ref else {
             return Err(RuntimeError::Internal("react before initialize".into()));
         };
@@ -576,7 +567,7 @@ impl Engine for CompiledVm {
         self.depth_hwm = 0;
         self.meter.reset();
         self.heap.reset_stats();
-        self.io = Some(Io::begin(inputs, 0));
+        self.io.restart(inputs);
         let result = (|| {
             let class = self.heap.class_of(this_ref)?;
             let run_name = self
@@ -587,7 +578,7 @@ impl Engine for CompiledVm {
             };
             self.run_fun(fun, this_ref, &[])
         })();
-        let io = self.io.take().expect("io set above");
+        self.io.end();
         self.last_cost = PhaseCost {
             steps: self.meter.steps(),
             heap: self.heap.stats(),
@@ -602,7 +593,8 @@ impl Engine for CompiledVm {
             );
         }
         result?;
-        Ok(io.finish())
+        self.io.outputs().clone_into(outputs);
+        Ok(())
     }
 
     fn last_cost(&self) -> PhaseCost {

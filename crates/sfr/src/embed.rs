@@ -83,13 +83,30 @@ impl TierEngine {
 pub struct JtBlock {
     name: String,
     interface: AsrInterface,
-    engine: Mutex<TierEngine>,
+    /// The engine and the instant cache. Only `eval` locks it: it takes
+    /// `&self` so that [`asr::fixpoint::Strategy::Parallel`] workers can
+    /// share the block; `tick` has `&mut self` and takes no lock.
+    inner: Mutex<Inner>,
     /// Why the native tier was declined, when it was.
     native_reject: Option<String>,
     /// The statically proved WCET bound armed on the engine, if any.
     step_bound: Option<u64>,
-    /// Cached `(inputs, outputs)` of the current instant's reaction.
-    cache: Mutex<Option<(Vec<Value>, Vec<Value>)>>,
+}
+
+/// The engine plus every buffer a reaction needs, allocated by the first
+/// reaction and reused by all later ones.
+struct Inner {
+    engine: TierEngine,
+    /// Whether `inputs`/`outputs` hold the current instant's reaction.
+    valid: bool,
+    /// Inputs of the current instant's reaction.
+    inputs: Vec<Value>,
+    /// Outputs of the current instant's reaction, one per declared port.
+    outputs: Vec<Value>,
+    /// `inputs` as engine port data.
+    ports_in: Vec<PortDatum>,
+    /// The engine's written outputs.
+    ports_out: Vec<Option<PortDatum>>,
 }
 
 impl fmt::Debug for JtBlock {
@@ -112,7 +129,7 @@ impl JtBlock {
     /// reaction lowered to the native op-slot tier, `"bytecode"` when
     /// the lowerer declined and the stack VM is used.
     pub fn engine_tier(&self) -> &'static str {
-        match *self.engine.lock().expect("engine lock") {
+        match self.inner.lock().expect("block state lock").engine {
             TierEngine::Native(_) => "native",
             TierEngine::Vm(_) => "bytecode",
         }
@@ -147,9 +164,7 @@ impl JtBlock {
 ///
 /// See [`EmbedError`]. The policy checked is the stock ASR policy.
 pub fn embed(source: &str, class: &str, ctor_args: &[i64]) -> Result<JtBlock, EmbedError> {
-    let program = jtlang::check_source(source).map_err(EmbedError::Frontend)?;
-    let table = jtlang::resolve::resolve(&program)
-        .map_err(|e| EmbedError::Frontend(e.to_string()))?;
+    let (program, table) = jtanalysis::frontend(source).map_err(EmbedError::Frontend)?;
     let violations = Policy::asr().check(&program, &table);
     if !violations.is_empty() {
         return Err(EmbedError::NotCompliant(violations));
@@ -192,45 +207,62 @@ pub fn embed(source: &str, class: &str, ctor_args: &[i64]) -> Result<JtBlock, Em
     Ok(JtBlock {
         name: class.to_string(),
         interface,
-        engine: Mutex::new(engine),
+        inner: Mutex::new(Inner {
+            engine,
+            valid: false,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            ports_in: Vec::new(),
+            ports_out: Vec::new(),
+        }),
         native_reject,
         step_bound,
-        cache: Mutex::new(None),
     })
 }
 
-fn to_port_datum(v: &Value) -> Result<PortDatum, BlockError> {
-    match v.datum() {
-        Some(Datum::Int(i)) => Ok(PortDatum::Int(*i)),
-        Some(Datum::Vec(vec)) => Ok(PortDatum::Vec(vec.clone())),
-        Some(Datum::Bool(b)) => Ok(PortDatum::Int(i64::from(*b))),
-        None => Err(BlockError::new("port value must be present")),
+/// Stores `v` in the port slot `p`, reusing a vector slot's buffer.
+fn set_port(p: &mut PortDatum, v: &Value) -> Result<(), BlockError> {
+    match (v.datum(), p) {
+        (Some(Datum::Vec(src)), PortDatum::Vec(dst)) => dst.clone_from(src),
+        (Some(Datum::Vec(src)), p) => *p = PortDatum::Vec(src.clone()),
+        (Some(Datum::Int(i)), p) => *p = PortDatum::Int(*i),
+        (Some(Datum::Bool(b)), p) => *p = PortDatum::Int(i64::from(*b)),
+        (None, _) => return Err(BlockError::new("port value must be present")),
+    }
+    Ok(())
+}
+
+/// Stores the written port `d` (`None` = not written: absent) in the
+/// signal slot `o`, reusing a vector slot's buffer.
+fn set_value(o: &mut Value, d: Option<&PortDatum>) {
+    match (d, o) {
+        (Some(PortDatum::Vec(src)), Value::Present(Datum::Vec(dst))) => dst.clone_from(src),
+        (Some(PortDatum::Vec(src)), o) => *o = Value::vec(src.clone()),
+        (Some(PortDatum::Int(i)), o) => *o = Value::int(*i),
+        (None, o) => *o = Value::Absent,
     }
 }
 
-fn from_port_datum(d: &Option<PortDatum>) -> Value {
-    match d {
-        None => Value::Absent,
-        Some(PortDatum::Int(i)) => Value::int(*i),
-        Some(PortDatum::Vec(v)) => Value::vec(v.clone()),
-    }
-}
-
-impl JtBlock {
-    fn react(&self, inputs: &[Value]) -> Result<Vec<Value>, BlockError> {
-        let port_inputs: Vec<PortDatum> = inputs
-            .iter()
-            .map(to_port_datum)
-            .collect::<Result<_, _>>()?;
-        let mut engine = self.engine.lock().expect("engine lock");
-        let outs = engine
+impl Inner {
+    /// Runs the reaction on `inputs` (all present) and caches it as the
+    /// current instant's, with `n_outputs` outputs: unwritten ports read
+    /// `Absent` and ports past the declared count are dropped.
+    fn react(&mut self, inputs: &[Value], n_outputs: usize) -> Result<(), BlockError> {
+        self.ports_in.resize(inputs.len(), PortDatum::Int(0));
+        for (p, v) in self.ports_in.iter_mut().zip(inputs) {
+            set_port(p, v)?;
+        }
+        self.engine
             .engine_mut()
-            .react(&port_inputs)
+            .react_into(&self.ports_in, &mut self.ports_out)
             .map_err(|e| BlockError::new(e.to_string()))?;
-        let mut values: Vec<Value> = outs.iter().map(from_port_datum).collect();
-        values.resize(self.interface.outputs, Value::Absent);
-        values.truncate(self.interface.outputs.max(values.len()));
-        Ok(values)
+        self.outputs.resize(n_outputs, Value::Absent);
+        for (i, o) in self.outputs.iter_mut().enumerate() {
+            set_value(o, self.ports_out.get(i).and_then(Option::as_ref));
+        }
+        inputs.clone_into(&mut self.inputs);
+        self.valid = true;
+        Ok(())
     }
 }
 
@@ -258,22 +290,16 @@ impl Block for JtBlock {
         // The reaction advances engine state, so run it once per instant
         // and serve repeats from the cache; inputs cannot change once
         // known within an instant.
-        let mut cache = self.cache.lock().expect("instant cache lock");
-        let result = match cache.as_ref() {
-            Some((cached_in, cached_out)) if cached_in == inputs => cached_out.clone(),
-            Some(_) => {
-                return Err(BlockError::new(
-                    "inputs changed after a reaction was computed within one instant",
-                ))
-            }
-            None => {
-                let outs = self.react(inputs)?;
-                *cache = Some((inputs.to_vec(), outs.clone()));
-                outs
-            }
-        };
-        for (o, v) in outputs.iter_mut().zip(result) {
-            *o = v;
+        let mut inner = self.inner.lock().expect("block state lock");
+        if !inner.valid {
+            inner.react(inputs, self.interface.outputs)?;
+        } else if inner.inputs != inputs {
+            return Err(BlockError::new(
+                "inputs changed after a reaction was computed within one instant",
+            ));
+        }
+        for (o, v) in outputs.iter_mut().zip(&inner.outputs) {
+            o.clone_from(v);
         }
         Ok(())
     }
@@ -281,15 +307,11 @@ impl Block for JtBlock {
     fn tick(&mut self, inputs: &[Value]) -> Result<(), BlockError> {
         // Commit: ensure the reaction ran (it may not have, if inputs
         // stayed ⊥ or absent all instant), then clear the instant cache.
-        let cache_filled = self.cache.lock().expect("instant cache lock").is_some();
-        if !cache_filled
-            && inputs.iter().all(Value::is_known)
-            && !inputs.contains(&Value::Absent)
-        {
-            let outs = self.react(inputs)?;
-            *self.cache.lock().expect("instant cache lock") = Some((inputs.to_vec(), outs));
+        let inner = self.inner.get_mut().expect("block state lock");
+        if !inner.valid && inputs.iter().all(Value::is_known) && !inputs.contains(&Value::Absent) {
+            inner.react(inputs, self.interface.outputs)?;
         }
-        self.cache.lock().expect("instant cache lock").take();
+        inner.valid = false;
         Ok(())
     }
 }
@@ -371,7 +393,9 @@ mod tests {
             let mut out = vec![Value::Unknown];
             block.eval(&inputs, &mut out).unwrap();
             let want = vm.react(&[PortDatum::Int(k)]).unwrap();
-            assert_eq!(out[0], from_port_datum(&want[0]), "k={k}");
+            let mut expected = Value::Unknown;
+            set_value(&mut expected, want[0].as_ref());
+            assert_eq!(out[0], expected, "k={k}");
             block.tick(&inputs).unwrap();
         }
     }
@@ -423,6 +447,38 @@ mod tests {
             embed(jtlang::corpus::COUNTER, "Nope", &[]),
             Err(EmbedError::Contract(_))
         ));
+    }
+
+    #[test]
+    fn inputs_that_change_within_an_instant_are_an_error() {
+        let block = embed(jtlang::corpus::COUNTER, "Counter", &[10]).unwrap();
+        let mut out = vec![Value::Unknown];
+        block.eval(&[Value::int(3)], &mut out).unwrap();
+        assert_eq!(out[0], Value::int(3));
+        // A repeat with the same inputs is served from the instant cache.
+        block.eval(&[Value::int(3)], &mut out).unwrap();
+        assert_eq!(out[0], Value::int(3));
+        let err = block.eval(&[Value::int(4)], &mut out).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "inputs changed after a reaction was computed within one instant"
+        );
+    }
+
+    #[test]
+    fn a_block_left_bottom_all_instant_reacts_at_tick() {
+        let mut block = embed(jtlang::corpus::COUNTER, "Counter", &[10]).unwrap();
+        let mut out = vec![Value::Unknown];
+        block.eval(&[Value::Unknown], &mut out).unwrap();
+        assert_eq!(out[0], Value::Unknown);
+        // The commit still runs the instant's reaction: count 0 → 4.
+        block.tick(&[Value::int(4)]).unwrap();
+        block.eval(&[Value::int(4)], &mut out).unwrap();
+        assert_eq!(out[0], Value::int(8));
+        block.tick(&[Value::int(4)]).unwrap();
+        // An instant that evaluated the block does not react twice.
+        block.eval(&[Value::int(1)], &mut out).unwrap();
+        assert_eq!(out[0], Value::int(9));
     }
 
     #[test]

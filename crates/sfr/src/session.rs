@@ -114,9 +114,7 @@ impl RefinementSession {
     /// [`SessionError::Frontend`] when the program does not parse,
     /// resolve, or type-check.
     pub fn from_source(source: &str, policy: Policy) -> Result<Self, SessionError> {
-        let program = jtlang::check_source(source).map_err(SessionError::Frontend)?;
-        let table = jtlang::resolve::resolve(&program)
-            .map_err(|e| SessionError::Frontend(e.to_string()))?;
+        let (program, table) = jtanalysis::frontend(source).map_err(SessionError::Frontend)?;
         Ok(RefinementSession {
             program,
             table,
@@ -209,10 +207,9 @@ impl RefinementSession {
     ///
     /// [`SessionError::Frontend`] when the new text is ill-formed.
     pub fn replace_source(&mut self, source: &str) -> Result<(), SessionError> {
-        let program = jtlang::check_source(source).map_err(SessionError::Frontend)?;
-        self.table = jtlang::resolve::resolve(&program)
-            .map_err(|e| SessionError::Frontend(e.to_string()))?;
+        let (program, table) = jtanalysis::frontend(source).map_err(SessionError::Frontend)?;
         self.program = program;
+        self.table = table;
         Ok(())
     }
 

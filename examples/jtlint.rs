@@ -90,9 +90,8 @@ fn lint(
     source: &str,
     db: Option<&mut AnalysisDb>,
 ) -> Result<Vec<(Violation, Option<Json>)>, String> {
-    let program = jtlang::check_source(source).map_err(|e| format!("front end: {e}"))?;
-    let table =
-        jtlang::resolve::resolve(&program).map_err(|e| format!("resolver: {e}"))?;
+    let (program, table) =
+        jtanalysis::frontend(source).map_err(|e| format!("front end: {e}"))?;
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let cx = match db {
             Some(db) => AnalysisContext::with_db(&program, &table, db, None),
