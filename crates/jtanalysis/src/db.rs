@@ -50,7 +50,7 @@ use crate::definite::{self, DefiniteCore};
 use crate::demand::{DemandCtx, TailMemo};
 use crate::escape::EscapeSummary;
 use crate::fingerprint::{combine, field_lens_fp, Fp, NodeMap, ProgramIndex, StructHasher};
-use crate::interval::{self, FieldLenIndex, IntervalCore};
+use crate::interval::{self, IntervalCore};
 use crate::pointsto;
 use crate::ptdelta::{DeltaPath, PtCache};
 use crate::purity::PuritySummary;
@@ -58,8 +58,10 @@ use crate::races;
 use crate::summary::{self, MethodSummary, SummaryReport};
 use crate::{cfg, each_method, flow::FlowReport, MethodRef};
 use jtlang::ast::{NodeId, Program};
+use jtlang::reparse::MemberPos;
 use jtlang::resolve::ClassTable;
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
+use std::time::Instant;
 
 /// Revisions an entry survives without being used before eviction.
 const KEEP_REVISIONS: u64 = 4;
@@ -99,6 +101,23 @@ pub struct RunStats {
     /// Wall-clock nanoseconds spent in the analysis tail (points-to
     /// update plus demand-driven products).
     pub tail_ns: u64,
+    /// Wall-clock nanoseconds spent bringing the carried fingerprint
+    /// index up to date, keying the revision and the method queries.
+    pub index_ns: u64,
+    /// Wall-clock nanoseconds spent in the method-level queries (CFG,
+    /// definite assignment, constants, intervals) and materializing
+    /// them.
+    pub method_ns: u64,
+    /// Wall-clock nanoseconds spent on the SCC summaries.
+    pub summary_ns: u64,
+    /// Wall-clock nanoseconds spent storing the report in the revision
+    /// replay cache and evicting stale entries (on a replay: handing
+    /// out the stored report).
+    pub cache_ns: u64,
+    /// Wall-clock nanoseconds of the whole analysis: exactly
+    /// `index_ns + method_ns + summary_ns + tail_ns + cache_ns`, laps of
+    /// one clock.
+    pub analyze_ns: u64,
 }
 
 impl RunStats {
@@ -116,12 +135,51 @@ impl RunStats {
         self.demand_hits += other.demand_hits;
         self.demand_misses += other.demand_misses;
         self.tail_ns += other.tail_ns;
+        self.index_ns += other.index_ns;
+        self.method_ns += other.method_ns;
+        self.summary_ns += other.summary_ns;
+        self.cache_ns += other.cache_ns;
+        self.analyze_ns += other.analyze_ns;
     }
 
     /// Total method-level query lookups this run.
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
+}
+
+/// Consecutive laps of one clock: the laps of a run sum exactly to the
+/// run's total.
+struct Laps {
+    start: Instant,
+    last: Instant,
+}
+
+impl Laps {
+    fn start() -> Laps {
+        let now = Instant::now();
+        Laps {
+            start: now,
+            last: now,
+        }
+    }
+
+    /// Nanoseconds since the previous lap.
+    fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = nanos(now - self.last);
+        self.last = now;
+        ns
+    }
+
+    /// Nanoseconds from the start to the last lap.
+    fn total(&self) -> u64 {
+        nanos(self.last - self.start)
+    }
+}
+
+fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[derive(Debug, Clone)]
@@ -236,8 +294,12 @@ struct SccEntry {
 #[derive(Debug, Default)]
 pub struct AnalysisDb {
     revision: u64,
+    /// The fingerprint index of the program analyzed last, carried to
+    /// the next revision: a splice re-fingerprints only the members it
+    /// re-parsed.
+    index: ProgramIndex,
     /// Whole-revision replay cache, keyed by the span-inclusive
-    /// [`crate::fingerprint::revision_fp`]: re-analyzing a byte-
+    /// [`ProgramIndex::revision_fp`]: re-analyzing a byte-
     /// equivalent parse returns the previous report wholesale,
     /// including the per-revision products (points-to, races, WCET)
     /// that are too id-entangled for per-method caching.
@@ -315,13 +377,16 @@ impl AnalysisDb {
     /// Analyzes one revision of the program, reusing every cache entry
     /// whose key is unchanged. The returned report is identical to what
     /// the batch `flow::analyze` produces on the same input.
+    ///
+    /// Every method is fingerprinted afresh: the program may differ
+    /// from the last one in any way.
     pub fn analyze(
         &mut self,
         program: &Program,
         table: &ClassTable,
         graph: &CallGraph,
     ) -> FlowReport {
-        self.run(program, table, graph, None)
+        self.run(program, table, graph, None, None)
     }
 
     /// [`AnalysisDb::analyze`], additionally exporting `jtobs` metrics.
@@ -332,7 +397,30 @@ impl AnalysisDb {
         graph: &CallGraph,
         registry: &jtobs::Registry,
     ) -> FlowReport {
-        self.run(program, table, graph, Some(registry))
+        self.run(program, table, graph, None, Some(registry))
+    }
+
+    /// [`AnalysisDb::analyze`] for a program that differs from the one
+    /// this database analyzed last only by the members in `spliced`,
+    /// re-parsed by [`jtlang::reparse()`] with their signatures unchanged
+    /// (an empty list: the same program). Only those members are
+    /// fingerprinted again; the carried index moves every other method
+    /// to its place in the new parse. The report is the one
+    /// [`AnalysisDb::analyze`] would give.
+    pub fn analyze_spliced(
+        &mut self,
+        program: &Program,
+        table: &ClassTable,
+        graph: &CallGraph,
+        spliced: &[MemberPos],
+        registry: Option<&jtobs::Registry>,
+    ) -> FlowReport {
+        self.run(program, table, graph, Some(spliced), registry)
+    }
+
+    /// The carried fingerprint index, as of the last analysis.
+    pub fn index(&self) -> &ProgramIndex {
+        &self.index
     }
 
     fn run(
@@ -340,25 +428,36 @@ impl AnalysisDb {
         program: &Program,
         table: &ClassTable,
         graph: &CallGraph,
+        spliced: Option<&[MemberPos]>,
         registry: Option<&jtobs::Registry>,
     ) -> FlowReport {
         let _suite_span = registry.map(|r| r.span("jtanalysis.flow"));
+        let mut laps = Laps::start();
 
+        // The index goes out of `self` for the run, so the queries can
+        // borrow it beside the caches.
+        let mut ix = std::mem::take(&mut self.index);
+        let rkey = timed(registry, "fingerprint", || {
+            ix.update(program, table, spliced);
+            ix.revision_fp(program)
+        });
         // Replay path: a byte-equivalent parse of an already analyzed
         // revision returns the whole prior report — every query warm.
-        let rkey = timed(registry, "fingerprint", || {
-            crate::fingerprint::revision_fp(program)
-        });
         if let Some(slot) = self.revisions.get_mut(&rkey) {
+            self.index = ix;
+            let index_ns = laps.lap();
             slot.last_used = self.revision;
             let report = slot.value.clone();
-            let stats = RunStats {
+            let mut stats = RunStats {
                 hits: 4 * each_method(program).count() as u64,
                 scc_hits: report.summary.sccs as u64,
                 pointsto_hits: 1,
                 demand_hits: each_method(program).count() as u64,
+                index_ns,
+                cache_ns: laps.lap(),
                 ..RunStats::default()
             };
+            stats.analyze_ns = laps.total();
             self.last = stats;
             self.total.absorb(&stats);
             if let Some(r) = registry {
@@ -372,13 +471,10 @@ impl AnalysisDb {
         let mut stats = RunStats::default();
         let mut report = FlowReport::default();
 
-        // Revision-wide fingerprints and the one-pass field-length
-        // index (both linear in program size).
-        let ix = ProgramIndex::build(program, table);
-        let field_index = FieldLenIndex::build(program);
+        // Per-class field lengths from the index's merged writes.
         let mut class_lens: BTreeMap<&str, (BTreeMap<String, i64>, Fp)> = BTreeMap::new();
         for class in &program.classes {
-            let lens = field_index.lengths_for(class);
+            let lens = ix.field_lens.lengths_for(class);
             let fp = field_lens_fp(&lens);
             class_lens.insert(class.name.as_str(), (lens, fp));
         }
@@ -403,6 +499,8 @@ impl AnalysisDb {
                 }
             }
         }
+
+        stats.index_ns = laps.lap();
 
         // Method-level queries, keyed and materialized per method.
         for (class, decl, mref) in each_method(program) {
@@ -472,16 +570,18 @@ impl AnalysisDb {
             out
         });
 
+        stats.method_ns = laps.lap();
+
         let cond = graph.condensation();
         report.summary = timed(registry, "summary", || {
             self.summaries(program, table, graph, &cond, &ix, &keys, &mut stats)
         });
+        stats.summary_ns = laps.lap();
 
         // The analysis tail: delta-update the points-to relation, then
         // derive every downstream product through the demand memo. The
         // race tiers share the same relation and context.
         timed(registry, "tail", || {
-            let tail_start = std::time::Instant::now();
             let (pt, outcome) = self.ptcache.update(program, table, pointsto::DEFAULT_K, Some(&ix));
             match outcome.path {
                 DeltaPath::Cold => stats.pointsto_misses += 1,
@@ -511,8 +611,8 @@ impl AnalysisDb {
                 races::analyze_demand(program, table, graph, &report.summary.pointsto, Some(&mut ctx));
             stats.demand_hits += ctx.hits;
             stats.demand_misses += ctx.misses;
-            stats.tail_ns = u64::try_from(tail_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         });
+        stats.tail_ns = laps.lap();
 
         self.revisions.insert(
             rkey,
@@ -523,6 +623,9 @@ impl AnalysisDb {
         );
         self.evict(revision);
         self.prev_keys = keys;
+        self.index = ix;
+        stats.cache_ns = laps.lap();
+        stats.analyze_ns = laps.total();
         self.last = stats;
         self.total.absorb(&stats);
 
@@ -925,7 +1028,7 @@ mod tests {
         let mut db = AnalysisDb::new();
         let (p, t, g) = setup(a);
         db.analyze(&p, &t, &g);
-        assert!(db.definite.len() > 0);
+        assert!(!db.definite.is_empty());
         // Analyze enough *distinct* revisions that `a`'s entries age out
         // (replays of a seen revision deliberately don't age anything).
         for i in 0..=KEEP_REVISIONS {
@@ -954,6 +1057,11 @@ mod tests {
             demand_hits: 21,
             demand_misses: 2,
             tail_ns: 123_456,
+            index_ns: 1_000,
+            method_ns: 2_000,
+            summary_ns: 3_000,
+            cache_ns: 4_000,
+            analyze_ns: 133_456,
         };
         assert_eq!(
             render_rollup(&stats, 2),
@@ -1016,6 +1124,61 @@ mod tests {
         assert!(stats.demand_hits > stats.demand_misses, "{stats:?}");
         assert_eq!(r1.races.alias_aware.len(), r2.races.alias_aware.len());
         assert_eq!(r1.summary.impure_blocks, r2.summary.impure_blocks);
+    }
+
+    #[test]
+    fn head_laps_sum_to_the_whole_analysis() {
+        let src = jtlang::corpus::generate(&jtlang::corpus::GenConfig::default());
+        let edit = src.replacen("return s;", "return s + 1;", 1);
+        let mut db = AnalysisDb::new();
+        // A cold run, a warm edit, and a replay of the first revision.
+        for text in [&src, &edit, &src] {
+            let (p, t, g) = setup(text);
+            db.analyze(&p, &t, &g);
+            let s = db.last_run();
+            assert_eq!(
+                s.index_ns + s.method_ns + s.summary_ns + s.tail_ns + s.cache_ns,
+                s.analyze_ns,
+                "{s:?}"
+            );
+            assert!(s.analyze_ns > 0, "{s:?}");
+        }
+        let totals = db.totals();
+        assert_eq!(
+            totals.index_ns
+                + totals.method_ns
+                + totals.summary_ns
+                + totals.tail_ns
+                + totals.cache_ns,
+            totals.analyze_ns
+        );
+    }
+
+    #[test]
+    fn spliced_revisions_carry_the_index_and_match_a_cold_analysis() {
+        let cfg = jtlang::corpus::GenConfig::default();
+        let mut text = jtlang::corpus::generate(&cfg);
+        let (mut program, table, graph) = setup(&text);
+        let mut db = AnalysisDb::new();
+        db.analyze(&program, &table, &graph);
+        let mut tweaks = BTreeMap::new();
+        for (g, k) in [(3usize, 500i64), (40, 7), (3, 12_345), (63, 0), (0, 99)] {
+            tweaks.insert(g, k);
+            let new = jtlang::corpus::generate_with_tweaks(&cfg, &tweaks);
+            let Ok(jtlang::reparse::Reparse::Spliced(splice)) =
+                jtlang::reparse(&mut program, &text, &new)
+            else {
+                panic!("a constant edit splices");
+            };
+            text = new;
+            let spliced: Vec<MemberPos> = splice.iter().map(|s| s.pos).collect();
+            let graph = crate::callgraph::build(&program, &table);
+            let warm = db.analyze_spliced(&program, &table, &graph, &spliced, None);
+            assert_eq!(db.index(), &ProgramIndex::build(&program, &table));
+            let cold = AnalysisDb::new().analyze(&program, &table, &graph);
+            assert!(reports_equal(&warm, &cold));
+            assert_eq!(warm.summary.methods, cold.summary.methods);
+        }
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //! because cached fingerprints must be stable across processes and
 //! toolchain versions.
 
+use crate::interval::{FieldLenIndex, LenWrites};
 use jtlang::ast::{
     stmt_exprs, walk_expr, Block, ClassDecl, Expr, ExprKind, MethodDecl, Modifiers, NodeId,
     Program, Stmt, StmtKind, Type, Visibility,
 };
+use jtlang::reparse::MemberPos;
 use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
 use std::collections::BTreeMap;
@@ -411,6 +413,77 @@ pub fn field_lens_fp(lens: &BTreeMap<String, i64>) -> Fp {
     h.finish()
 }
 
+/// Where a method sits in the current parse: its own node id (the
+/// last of the contiguous stretch its nodes take), and the offset, line
+/// and column of its first token.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Base {
+    id: u32,
+    start: usize,
+    line: u32,
+    col: u32,
+}
+
+impl Base {
+    fn of(decl: &MethodDecl) -> Base {
+        Base {
+            id: decl.id.0,
+            start: decl.span.start,
+            line: decl.span.line,
+            col: decl.span.col,
+        }
+    }
+}
+
+/// One node relative to its method's [`Base`]: the id counts down from
+/// the base id, offset and line count up from the base. The column is
+/// relative on the base's line and absolute below it, because an edit
+/// before the method moves columns on exactly the line it ends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RelNode {
+    id: u32,
+    start: u32,
+    len: u32,
+    line: u32,
+    col: u32,
+}
+
+impl RelNode {
+    fn new(base: &Base, id: NodeId, span: Span) -> RelNode {
+        let line = span.line.wrapping_sub(base.line);
+        let offset = |n: usize| u32::try_from(n).expect("method text fits u32");
+        RelNode {
+            id: base.id.wrapping_sub(id.0),
+            start: offset(span.start.wrapping_sub(base.start)),
+            len: offset(span.end.saturating_sub(span.start)),
+            line,
+            col: if line == 0 {
+                span.col.wrapping_sub(base.col)
+            } else {
+                span.col
+            },
+        }
+    }
+
+    fn at(&self, base: &Base) -> (NodeId, Span) {
+        let start = base.start + self.start as usize;
+        let col = if self.line == 0 {
+            base.col.wrapping_add(self.col)
+        } else {
+            self.col
+        };
+        let line = base.line.wrapping_add(self.line);
+        let span = Span::new(start, start + self.len as usize, line, col);
+        (NodeId(base.id.wrapping_sub(self.id)), span)
+    }
+}
+
+/// In [`NodeMap`]'s index by relative id: a relative id that names no
+/// statement or expression, and the bit that marks an expression's
+/// pre-order index (a statement's has it clear).
+const NO_INDEX: u32 = u32::MAX;
+const EXPR: u32 = 1 << 31;
+
 /// Pre-order id/span tables for one method body, used to rebase cached
 /// index-based results onto the current parse.
 ///
@@ -420,53 +493,87 @@ pub fn field_lens_fp(lens: &BTreeMap<String, i64>) -> Fp {
 /// expressions in [`jtlang::ast::walk_expr`] pre-order). Both walkers
 /// are deterministic functions of tree shape, so methods with equal
 /// [`method_fp`] have identical index assignments.
-#[derive(Debug, Clone, Default)]
+///
+/// Entries are stored relative to the method's own id and first token,
+/// in dense vectors indexed by pre-order index and by relative id. An
+/// edit elsewhere that moves the method shifts every node of it alike,
+/// so [`NodeMap::rebase`] carries the map to the new parse in O(1).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeMap {
-    stmts: Vec<(NodeId, Span)>,
-    exprs: Vec<(NodeId, Span)>,
-    stmt_index: BTreeMap<NodeId, u32>,
-    expr_index: BTreeMap<NodeId, u32>,
+    base: Base,
+    stmts: Vec<RelNode>,
+    exprs: Vec<RelNode>,
+    /// Pre-order index by relative id (see [`EXPR`]).
+    at: Vec<u32>,
 }
 
 impl NodeMap {
     /// Builds the map for one method declaration.
     pub fn build(decl: &MethodDecl) -> NodeMap {
-        let mut map = NodeMap::default();
+        let base = Base::of(decl);
+        let mut map = NodeMap {
+            base,
+            ..NodeMap::default()
+        };
         jtlang::ast::walk_stmts(&decl.body, &mut |s| {
-            let i = u32::try_from(map.stmts.len()).expect("statement count fits u32");
-            map.stmt_index.insert(s.id, i);
-            map.stmts.push((s.id, s.span));
+            map.stmts.push(RelNode::new(&base, s.id, s.span));
         });
         jtlang::ast::walk_stmts(&decl.body, &mut |s| {
             for e in stmt_exprs(s) {
                 walk_expr(e, &mut |e| {
-                    let i = u32::try_from(map.exprs.len()).expect("expression count fits u32");
-                    map.expr_index.insert(e.id, i);
-                    map.exprs.push((e.id, e.span));
+                    map.exprs.push(RelNode::new(&base, e.id, e.span))
                 });
             }
         });
+        // The index lives as long as the database: keep no spare room.
+        map.stmts.shrink_to_fit();
+        map.exprs.shrink_to_fit();
+        let len = map
+            .stmts
+            .iter()
+            .chain(&map.exprs)
+            .map(|n| n.id as usize + 1)
+            .max();
+        map.at = vec![NO_INDEX; len.unwrap_or(0)];
+        for (tag, nodes) in [(0, &map.stmts), (EXPR, &map.exprs)] {
+            for (i, n) in nodes.iter().enumerate() {
+                map.at[n.id as usize] = tag | u32::try_from(i).expect("node count fits u32");
+            }
+        }
         map
+    }
+
+    /// Moves the map to `decl`'s place in the current parse: `decl`
+    /// must be the method the map was built from, or a copy of it that
+    /// an edit elsewhere moved (equal up to ids and spans).
+    pub fn rebase(&mut self, decl: &MethodDecl) {
+        self.base = Base::of(decl);
     }
 
     /// `(id, span)` of the statement at pre-order index `idx`.
     pub fn stmt(&self, idx: usize) -> (NodeId, Span) {
-        self.stmts[idx]
+        self.stmts[idx].at(&self.base)
     }
 
     /// `(id, span)` of the expression at pre-order index `idx`.
     pub fn expr(&self, idx: usize) -> (NodeId, Span) {
-        self.exprs[idx]
+        self.exprs[idx].at(&self.base)
     }
 
     /// Pre-order index of a statement id from this method body.
     pub fn stmt_index(&self, id: NodeId) -> Option<usize> {
-        self.stmt_index.get(&id).map(|i| *i as usize)
+        self.lookup(id, 0)
     }
 
     /// Pre-order index of an expression id from this method body.
     pub fn expr_index(&self, id: NodeId) -> Option<usize> {
-        self.expr_index.get(&id).map(|i| *i as usize)
+        self.lookup(id, EXPR)
+    }
+
+    fn lookup(&self, id: NodeId, tag: u32) -> Option<usize> {
+        let rel = self.base.id.checked_sub(id.0)?;
+        let i = *self.at.get(rel as usize)?;
+        (i != NO_INDEX && i & EXPR == tag).then_some((i & !EXPR) as usize)
     }
 
     /// Number of statements in the method body.
@@ -480,9 +587,23 @@ impl NodeMap {
     }
 }
 
-/// Per-method fingerprints for a whole program, computed once per
-/// revision.
-#[derive(Debug, Clone, Default)]
+/// What the index keeps of one constructor or method by position: its
+/// part of [`ProgramIndex::revision_fp`] and its field-length writes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct MemberPart {
+    layout: Fp,
+    len_writes: LenWrites,
+}
+
+/// Per-method fingerprints for a whole program, carried from revision
+/// to revision.
+///
+/// [`ProgramIndex::update`] re-fingerprints only the members a splice
+/// re-parsed ([`jtlang::reparse()`]); every other method keeps its
+/// fingerprint and node map, and only moves to its place in the new
+/// parse. A build from scratch is the same update with every member
+/// re-parsed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramIndex {
     /// Global signature fingerprint.
     pub sig: Fp,
@@ -490,23 +611,109 @@ pub struct ProgramIndex {
     pub class_ctx: BTreeMap<String, Fp>,
     /// Per-method `(fingerprint, node map)` keyed by method reference.
     pub methods: BTreeMap<crate::MethodRef, (Fp, NodeMap)>,
+    /// Per class, its constructors then its methods, in declaration
+    /// order.
+    members: Vec<Vec<MemberPart>>,
+    /// Every member's field-length writes, merged.
+    pub(crate) field_lens: FieldLenIndex,
 }
 
 impl ProgramIndex {
     /// Fingerprints every method of `program`.
     pub fn build(program: &Program, table: &ClassTable) -> ProgramIndex {
-        let mut ix = ProgramIndex {
-            sig: sig_fp(table),
-            ..ProgramIndex::default()
-        };
-        for class in &program.classes {
-            ix.class_ctx
-                .insert(class.name.clone(), class_ctx_fp(program, table, &class.name));
+        let mut ix = ProgramIndex::default();
+        ix.update(program, table, None);
+        ix
+    }
+
+    /// Brings the index from the program it last saw to `program`.
+    ///
+    /// `spliced` names the members re-parsed since then, all with their
+    /// signatures unchanged, while the rest of the program moved at
+    /// most (what [`jtlang::reparse()`] splices do). `None`, or a program
+    /// whose classes and member counts differ from the last one,
+    /// re-fingerprints every member.
+    pub fn update(&mut self, program: &Program, table: &ClassTable, spliced: Option<&[MemberPos]>) {
+        let same_shape = self.members.len() == program.classes.len()
+            && self
+                .members
+                .iter()
+                .zip(&program.classes)
+                .all(|(parts, c)| parts.len() == c.ctors.len() + c.methods.len());
+        match spliced {
+            Some(spliced) if same_shape => {
+                for pos in spliced {
+                    self.reindex(program, *pos);
+                }
+            }
+            _ => {
+                *self = ProgramIndex {
+                    sig: sig_fp(table),
+                    class_ctx: program
+                        .classes
+                        .iter()
+                        .map(|c| (c.name.clone(), class_ctx_fp(program, table, &c.name)))
+                        .collect(),
+                    members: program
+                        .classes
+                        .iter()
+                        .map(|c| vec![MemberPart::default(); c.ctors.len() + c.methods.len()])
+                        .collect(),
+                    ..ProgramIndex::default()
+                };
+                for (class, c) in program.classes.iter().enumerate() {
+                    let ctors = (0..c.ctors.len()).map(|index| (true, index));
+                    let methods = (0..c.methods.len()).map(|index| (false, index));
+                    for (ctor, index) in ctors.chain(methods) {
+                        self.reindex(program, MemberPos { class, ctor, index });
+                    }
+                }
+            }
         }
         for (_, decl, mref) in crate::each_method(program) {
-            ix.methods.insert(mref, (method_fp(decl), NodeMap::build(decl)));
+            if let Some((_, map)) = self.methods.get_mut(&mref) {
+                map.rebase(decl);
+            }
         }
-        ix
+    }
+
+    /// Re-fingerprints the member at `pos`.
+    fn reindex(&mut self, program: &Program, pos: MemberPos) {
+        let class = &program.classes[pos.class];
+        let decl = pos.decl(program);
+        let fp = method_fp(decl);
+        let part = MemberPart {
+            layout: layout_fp(decl, fp),
+            len_writes: LenWrites::of(class, decl),
+        };
+        let slot = if pos.ctor {
+            pos.index
+        } else {
+            class.ctors.len() + pos.index
+        };
+        self.field_lens.add(&part.len_writes);
+        let old = std::mem::replace(&mut self.members[pos.class][slot], part);
+        self.field_lens.remove(&old.len_writes);
+        // Of several declarations with one reference (constructors), the
+        // last in declaration order holds the entry.
+        let (list, mref) = if pos.ctor {
+            (&class.ctors, crate::MethodRef::ctor(&class.name))
+        } else {
+            (
+                &class.methods,
+                crate::MethodRef::method(&class.name, &decl.name),
+            )
+        };
+        let last = list[pos.index..]
+            .iter()
+            .rposition(|m| m.name == decl.name)
+            .map_or(decl, |i| &list[pos.index + i]);
+        let fp = if std::ptr::eq(last, decl) {
+            fp
+        } else {
+            method_fp(last)
+        };
+        self.methods.insert(mref, (fp, NodeMap::build(last)));
     }
 
     /// The cache key of a method-level query: method fingerprint
@@ -521,6 +728,84 @@ impl ProgramIndex {
     pub fn node_map(&self, mref: &crate::MethodRef) -> Option<&NodeMap> {
         self.methods.get(mref).map(|(_, m)| m)
     }
+
+    /// A fingerprint pinning the *exact parse* of `program`, the program
+    /// the index was last brought to: the full structural hash plus
+    /// every source span. Two programs share this value only when no
+    /// analysis can distinguish them at all — identical structure
+    /// (hence identical node-id assignment, which the parser derives
+    /// from structure alone) and identical source positions.
+    ///
+    /// [`crate::db`] uses it to key whole-revision caches of derived
+    /// products (points-to, races, WCET) whose results embed node ids
+    /// and spans and therefore cannot be rebased the way per-method
+    /// cores are. Unlike [`method_fp`], a whitespace-only edit *does*
+    /// change this fingerprint — that is the point: span-bearing
+    /// products are only replayed for byte-equivalent parses.
+    ///
+    /// Composed from each member's cached layout (its structure and
+    /// spans relative to its first token) and where that token now is,
+    /// so it costs one hash per member plus the class headers.
+    pub fn revision_fp(&self, program: &Program) -> Fp {
+        let mut h = StructHasher::new();
+        h.u64(program.classes.len() as u64);
+        for (class, parts) in program.classes.iter().zip(&self.members) {
+            h.str(&class.name);
+            h.bool(class.superclass.is_some());
+            if let Some(s) = &class.superclass {
+                h.str(s);
+            }
+            span(&mut h, class.span);
+            h.u64(class.fields.len() as u64);
+            for f in &class.fields {
+                hash_modifiers(&mut h, &f.modifiers);
+                hash_type(&mut h, &f.ty);
+                h.str(&f.name);
+                hash_opt_expr(&mut h, &f.init);
+                span(&mut h, f.span);
+                if let Some(init) = &f.init {
+                    walk_expr(init, &mut |e| span(&mut h, e.span));
+                }
+            }
+            h.u64(class.ctors.len() as u64);
+            for (decl, part) in class.ctors.iter().chain(&class.methods).zip(parts) {
+                h.u64(part.layout.0);
+                h.u64(decl.span.start as u64);
+            }
+        }
+        h.finish()
+    }
+}
+
+fn span(h: &mut StructHasher, s: Span) {
+    h.u64(s.start as u64);
+    h.u64(s.end as u64);
+}
+
+/// A member's structure and its spans relative to its first token.
+fn layout_fp(decl: &MethodDecl, fp: Fp) -> Fp {
+    let base = decl.span.start;
+    let mut h = StructHasher::new();
+    let rel = |h: &mut StructHasher, s: Span| {
+        h.u64(s.start.wrapping_sub(base) as u64);
+        h.u64(s.end.wrapping_sub(base) as u64);
+    };
+    h.u64(fp.0);
+    rel(&mut h, decl.span);
+    for p in &decl.params {
+        rel(&mut h, p.span);
+    }
+    rel(&mut h, decl.body.span);
+    jtlang::ast::walk_stmts(&decl.body, &mut |s| {
+        rel(&mut h, s.span);
+        if let StmtKind::Block(b) = &s.kind {
+            rel(&mut h, b.span);
+        }
+        for e in stmt_exprs(s) {
+            walk_expr(e, &mut |e2| rel(&mut h, e2.span));
+        }
+    });
+    h.finish()
 }
 
 /// Fingerprint of one class declaration's full contents (used by tests
@@ -580,54 +865,6 @@ pub fn program_fp(program: &Program, table: &ClassTable) -> Fp {
     let mut parts = vec![sig_fp(table)];
     parts.extend(program.classes.iter().map(class_fp));
     combine(&parts)
-}
-
-/// A fingerprint pinning the *exact parse*: the full structural hash
-/// plus every source span in the program. Two programs share this
-/// value only when no analysis can distinguish them at all — identical
-/// structure (hence identical node-id assignment, which the parser
-/// derives from structure alone) and identical source positions.
-///
-/// [`crate::db`] uses it to key whole-revision caches of derived
-/// products (points-to, races, WCET) whose results embed node ids and
-/// spans and therefore cannot be rebased the way per-method cores are.
-/// Unlike [`method_fp`], a whitespace-only edit *does* change this
-/// fingerprint — that is the point: span-bearing products are only
-/// replayed for byte-equivalent parses.
-pub fn revision_fp(program: &Program) -> Fp {
-    fn span(h: &mut StructHasher, s: Span) {
-        h.u64(s.start as u64);
-        h.u64(s.end as u64);
-    }
-    let mut h = StructHasher::new();
-    h.u64(program.classes.len() as u64);
-    for class in &program.classes {
-        h.u64(class_fp(class).0);
-        span(&mut h, class.span);
-        for f in &class.fields {
-            span(&mut h, f.span);
-            if let Some(init) = &f.init {
-                walk_expr(init, &mut |e| span(&mut h, e.span));
-            }
-        }
-        for m in class.ctors.iter().chain(&class.methods) {
-            span(&mut h, m.span);
-            for p in &m.params {
-                span(&mut h, p.span);
-            }
-            span(&mut h, m.body.span);
-            jtlang::ast::walk_stmts(&m.body, &mut |s| {
-                span(&mut h, s.span);
-                if let StmtKind::Block(b) = &s.kind {
-                    span(&mut h, b.span);
-                }
-                for e in stmt_exprs(s) {
-                    walk_expr(e, &mut |e2| span(&mut h, e2.span));
-                }
-            });
-        }
-    }
-    h.finish()
 }
 
 #[cfg(test)]

@@ -507,78 +507,137 @@ impl IntervalAnalysis {
     }
 }
 
-/// Accumulated evidence about assignments that could target an array
-/// field of a given name: the constant `new T[c]` lengths seen, and
-/// whether any assignment disqualifies the field (compound assignment
-/// or a non-constant length).
-#[derive(Debug, Clone, Default)]
-struct LenAcc {
-    poisoned: bool,
-    lens: BTreeSet<i64>,
+/// Assignments of one method that may store into an array field, each
+/// with the constant length it stores (`None` unless it is a plain
+/// `= new T[c]`). An unqualified `name = …` whose `name` is no
+/// parameter or local may target field `name` of the enclosing class;
+/// a `recv.name = …` may target any field called `name` (any receiver
+/// in any class is taken as a potential alias, conservatively).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LenWrites(Vec<(LenTarget, Option<i64>)>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum LenTarget {
+    /// `(enclosing class, name)` of an unqualified assignment.
+    Same(String, String),
+    /// The field name of a qualified assignment.
+    Global(String),
 }
 
-impl LenAcc {
-    fn record(&mut self, op: AssignOp, candidate: Option<i64>) {
-        match candidate {
-            Some(c) if op == AssignOp::Set => {
-                self.lens.insert(c);
+impl LenWrites {
+    /// The writes of `decl`, a constructor or method of `class`.
+    pub(crate) fn of(class: &ClassDecl, decl: &MethodDecl) -> LenWrites {
+        let mut shadow: BTreeSet<&str> = decl.params.iter().map(|p| p.name.as_str()).collect();
+        walk_stmts(&decl.body, &mut |stmt| {
+            if let StmtKind::VarDecl { name, .. } = &stmt.kind {
+                shadow.insert(name.as_str());
             }
-            _ => self.poisoned = true,
-        }
+        });
+        let mut writes = Vec::new();
+        walk_stmts(&decl.body, &mut |stmt| {
+            let StmtKind::Assign { target, op, value } = &stmt.kind else {
+                return;
+            };
+            let len = const_new_array_len(value).filter(|_| *op == AssignOp::Set);
+            match &target.kind {
+                ExprKind::Var(n) if !shadow.contains(n.as_str()) => {
+                    writes.push((LenTarget::Same(class.name.clone(), n.clone()), len));
+                }
+                ExprKind::Field { name, .. } => writes.push((LenTarget::Global(name.clone()), len)),
+                _ => {}
+            }
+        });
+        LenWrites(writes)
     }
 }
 
-/// One-pass index of every assignment in the program that could target
-/// an array field, replacing the per-class whole-program rescans the
-/// old `field_array_lengths` did (quadratic in program size).
-///
-/// `same` records unqualified `name = …` assignments keyed by
-/// `(enclosing class, name)` where `name` is not shadowed by a param or
-/// local; `global` records `recv.name = …` assignments keyed by field
-/// name alone (the old code treated any receiver in any class as a
-/// potential alias, and we preserve that conservatism).
-#[derive(Debug, Clone, Default)]
+/// How many writes store each constant length into one target, and how
+/// many store anything else.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct LenAcc {
+    poisoned: u32,
+    lens: BTreeMap<i64, u32>,
+}
+
+/// Every method's [`LenWrites`], merged by target. Kept as counts, so a
+/// re-parsed method's old writes come out and its new ones go in
+/// without a rescan of the program; a whole-program build adds every
+/// method's writes once (the per-class rescans of the old
+/// `field_array_lengths` were quadratic in program size).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct FieldLenIndex {
     same: BTreeMap<(String, String), LenAcc>,
     global: BTreeMap<String, LenAcc>,
 }
 
 impl FieldLenIndex {
-    /// Scans the whole program once.
+    /// Adds every method's writes.
     pub(crate) fn build(program: &Program) -> FieldLenIndex {
         let mut ix = FieldLenIndex::default();
         for c in &program.classes {
             for decl in c.ctors.iter().chain(&c.methods) {
-                let mut shadow: BTreeSet<&str> =
-                    decl.params.iter().map(|p| p.name.as_str()).collect();
-                walk_stmts(&decl.body, &mut |stmt| {
-                    if let StmtKind::VarDecl { name, .. } = &stmt.kind {
-                        shadow.insert(name.as_str());
-                    }
-                });
-                walk_stmts(&decl.body, &mut |stmt| {
-                    let StmtKind::Assign { target, op, value } = &stmt.kind else {
-                        return;
-                    };
-                    match &target.kind {
-                        ExprKind::Var(n) if !shadow.contains(n.as_str()) => {
-                            ix.same
-                                .entry((c.name.clone(), n.clone()))
-                                .or_default()
-                                .record(*op, const_new_array_len(value));
-                        }
-                        ExprKind::Field { name, .. } => {
-                            ix.global
-                                .entry(name.clone())
-                                .or_default()
-                                .record(*op, const_new_array_len(value));
-                        }
-                        _ => {}
-                    }
-                });
+                ix.add(&LenWrites::of(c, decl));
             }
         }
         ix
+    }
+
+    /// Counts one method's writes in.
+    pub(crate) fn add(&mut self, writes: &LenWrites) {
+        for (target, len) in &writes.0 {
+            let acc = match target {
+                LenTarget::Same(class, name) => {
+                    self.same.entry((class.clone(), name.clone())).or_default()
+                }
+                LenTarget::Global(name) => self.global.entry(name.clone()).or_default(),
+            };
+            match len {
+                Some(c) => *acc.lens.entry(*c).or_default() += 1,
+                None => acc.poisoned += 1,
+            }
+        }
+    }
+
+    /// Counts one method's writes out again; targets no write reaches
+    /// any more are dropped, so the index equals a fresh build.
+    pub(crate) fn remove(&mut self, writes: &LenWrites) {
+        fn uncount(acc: &mut LenAcc, len: Option<i64>) -> bool {
+            match len {
+                Some(c) => {
+                    if let Some(n) = acc.lens.get_mut(&c) {
+                        *n -= 1;
+                        if *n == 0 {
+                            acc.lens.remove(&c);
+                        }
+                    }
+                }
+                None => acc.poisoned -= 1,
+            }
+            acc.poisoned == 0 && acc.lens.is_empty()
+        }
+        for (target, len) in &writes.0 {
+            match target {
+                LenTarget::Same(class, name) => {
+                    let key = (class.clone(), name.clone());
+                    if self
+                        .same
+                        .get_mut(&key)
+                        .is_some_and(|acc| uncount(acc, *len))
+                    {
+                        self.same.remove(&key);
+                    }
+                }
+                LenTarget::Global(name) => {
+                    if self
+                        .global
+                        .get_mut(name)
+                        .is_some_and(|acc| uncount(acc, *len))
+                    {
+                        self.global.remove(name);
+                    }
+                }
+            }
+        }
     }
 
     /// Array fields of `class` with exactly one known constant length:
@@ -592,18 +651,24 @@ impl FieldLenIndex {
             {
                 continue;
             }
-            let mut acc = LenAcc::default();
+            let mut poisoned = false;
+            let mut lens = BTreeSet::new();
             if let Some(init) = &field.init {
-                acc.record(AssignOp::Set, const_new_array_len(init));
+                match const_new_array_len(init) {
+                    Some(c) => {
+                        lens.insert(c);
+                    }
+                    None => poisoned = true,
+                }
             }
             let same = self.same.get(&(class.name.clone(), field.name.clone()));
             let global = self.global.get(&field.name);
             for found in [same, global].into_iter().flatten() {
-                acc.poisoned |= found.poisoned;
-                acc.lens.extend(found.lens.iter().copied());
+                poisoned |= found.poisoned > 0;
+                lens.extend(found.lens.keys().copied());
             }
-            if !acc.poisoned && acc.lens.len() == 1 {
-                out.insert(field.name.clone(), *acc.lens.iter().next().unwrap());
+            if !poisoned && lens.len() == 1 {
+                out.insert(field.name.clone(), *lens.iter().next().unwrap());
             }
         }
         out

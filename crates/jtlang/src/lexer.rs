@@ -33,6 +33,28 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
     Lexer::new(source).run()
 }
 
+/// Tokenizes the stretch `start..end` of `source`, which begins at a
+/// token boundary on `line`, column `col`. Spans are offsets into the
+/// whole of `source`; the [`TokenKind::Eof`] token sits at `end`. Bytes
+/// from `end` on are never read, so a token or comment that would run
+/// past `end` is cut off there.
+pub(crate) fn lex_range(
+    source: &str,
+    start: usize,
+    end: usize,
+    line: u32,
+    col: u32,
+) -> Result<Vec<Token>, LexError> {
+    Lexer {
+        src: &source.as_bytes()[..end],
+        pos: start,
+        line,
+        col,
+        tokens: Vec::new(),
+    }
+    .run()
+}
+
 struct Lexer<'src> {
     src: &'src [u8],
     pos: usize,

@@ -40,12 +40,14 @@ pub mod corpus;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+pub mod reparse;
 pub mod resolve;
 pub mod token;
 pub mod types;
 
 pub use ast::Program;
 pub use parser::{parse, ParseError};
+pub use reparse::reparse;
 
 /// Parses, resolves, and type-checks a JT program in one call.
 ///

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for JT.
 
 use crate::ast::*;
-use crate::lexer::{lex, LexError};
+use crate::lexer::{lex, lex_range, LexError};
 use crate::token::{Span, Token, TokenKind};
 use std::fmt;
 
@@ -81,6 +81,43 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         depth: 0,
     }
     .program()
+}
+
+/// Re-parses one constructor or method on its own: the member spans
+/// `start..end` of `source`, begins on `line`, column `col`, belongs to
+/// class `class_name` and numbers its nodes from `first_id`, exactly as
+/// [`parse`] would inside the whole text (see [`crate::reparse`]).
+///
+/// Returns `Ok(None)` unless the tokens make exactly one constructor or
+/// method that ends at `end`.
+///
+/// # Errors
+///
+/// The first lexical or syntactic error inside the stretch.
+pub(crate) fn parse_member(
+    source: &str,
+    (start, end): (usize, usize),
+    (line, col): (u32, u32),
+    first_id: u32,
+    class_name: &str,
+) -> Result<Option<(bool, MethodDecl)>, ParseError> {
+    let mut parser = Parser {
+        tokens: lex_range(source, start, end, line, col)?,
+        pos: 0,
+        next_id: first_id,
+        depth: 0,
+    };
+    let (mut fields, mut ctors, mut methods) = (Vec::new(), Vec::new(), Vec::new());
+    parser.member(class_name, &mut fields, &mut ctors, &mut methods)?;
+    if !parser.at(&TokenKind::Eof) || !fields.is_empty() {
+        return Ok(None);
+    }
+    let member = match (ctors.pop(), methods.pop()) {
+        (Some(ctor), None) => (true, ctor),
+        (None, Some(method)) => (false, method),
+        _ => return Ok(None),
+    };
+    Ok((member.1.body.span.end == end).then_some(member))
 }
 
 /// The binary operator `kind` denotes, with its precedence level (0
@@ -1081,7 +1118,8 @@ mod tests {
 
     #[test]
     fn nesting_up_to_the_limit_parses_and_past_it_is_an_error() {
-        let shapes: [(&str, fn(usize) -> String); 6] = [
+        type Shape = (&'static str, fn(usize) -> String);
+        let shapes: [Shape; 6] = [
             ("parentheses", |n| {
                 method(&format!("return {}1{};", "(".repeat(n), ")".repeat(n)))
             }),

@@ -37,11 +37,8 @@ impl std::error::Error for TypeError {}
 /// Returns the first [`TypeError`] found.
 pub fn check(program: &Program, table: &ClassTable) -> Result<(), TypeError> {
     for class in &program.classes {
-        for ctor in &class.ctors {
-            Checker::new(table, class, None).check_method(ctor)?;
-        }
-        for method in &class.methods {
-            Checker::new(table, class, method.return_type.clone()).check_method(method)?;
+        for member in class.ctors.iter().chain(&class.methods) {
+            check_member(table, class, member)?;
         }
         for field in &class.fields {
             if let Some(init) = &field.init {
@@ -52,6 +49,22 @@ pub fn check(program: &Program, table: &ClassTable) -> Result<(), TypeError> {
         }
     }
     Ok(())
+}
+
+/// Type-checks one constructor or method of `class`. A member's check
+/// reads only the class table and its class's name, so after an edit
+/// that changes one member body and no signature, checking that member
+/// alone gives what [`check`] gives on the whole program.
+///
+/// # Errors
+///
+/// Returns the first [`TypeError`] in the member.
+pub fn check_member(
+    table: &ClassTable,
+    class: &ClassDecl,
+    member: &MethodDecl,
+) -> Result<(), TypeError> {
+    Checker::new(table, class, member.return_type.clone()).check_method(member)
 }
 
 /// Computes the type of `expr` inside `method` of `class` — a utility for

@@ -168,11 +168,9 @@ mod tests {
             for (a, b) in by_react.iter_mut().zip(&mut by_react_into) {
                 // Stale contents from a "previous instant" must not leak.
                 let mut reused = vec![Some(PortDatum::Vec(vec![9; 9])); 5];
-                for k in 0..6i64 {
-                    let inputs = [
-                        PortDatum::Int(k - 2),
-                        PortDatum::Vec(vec![k; 1 + k as usize % 3]),
-                    ];
+                for k in 0..6usize {
+                    let v = i64::try_from(k).unwrap();
+                    let inputs = [PortDatum::Int(v - 2), PortDatum::Vec(vec![v; 1 + k % 3])];
                     let inputs = &inputs[..n_inputs];
                     let want = a.react(inputs);
                     let got = b.react_into(inputs, &mut reused).map(|()| reused.clone());

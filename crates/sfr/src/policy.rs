@@ -15,6 +15,7 @@ use crate::extension;
 use crate::violation::{Fix, Violation};
 use jtanalysis::{alloc, blocking, callgraph, flow, loops, threads, visibility};
 use jtlang::ast::Program;
+use jtlang::reparse::MemberPos;
 use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
 
@@ -69,19 +70,35 @@ impl<'a> AnalysisContext<'a> {
         db: &mut jtanalysis::db::AnalysisDb,
         registry: Option<&jtobs::Registry>,
     ) -> Self {
-        Self::build(program, table, Some(db), registry)
+        Self::build(program, table, Some((db, None)), registry)
+    }
+
+    /// [`AnalysisContext::with_db`] for a program that differs from the
+    /// one `db` analyzed last only by the members in `spliced` (see
+    /// [`jtanalysis::db::AnalysisDb::analyze_spliced`]).
+    pub fn with_db_spliced(
+        program: &'a Program,
+        table: &'a ClassTable,
+        db: &mut jtanalysis::db::AnalysisDb,
+        spliced: &[MemberPos],
+        registry: Option<&jtobs::Registry>,
+    ) -> Self {
+        Self::build(program, table, Some((db, Some(spliced))), registry)
     }
 
     fn build(
         program: &'a Program,
         table: &'a ClassTable,
-        db: Option<&mut jtanalysis::db::AnalysisDb>,
+        db: Option<(&mut jtanalysis::db::AnalysisDb, Option<&[MemberPos]>)>,
         registry: Option<&jtobs::Registry>,
     ) -> Self {
         let graph = callgraph::build(program, table);
         let flow = match (db, registry) {
-            (Some(db), Some(r)) => db.analyze_with_registry(program, table, &graph, r),
-            (Some(db), None) => db.analyze(program, table, &graph),
+            (Some((db, Some(spliced))), r) => {
+                db.analyze_spliced(program, table, &graph, spliced, r)
+            }
+            (Some((db, None)), Some(r)) => db.analyze_with_registry(program, table, &graph, r),
+            (Some((db, None)), None) => db.analyze(program, table, &graph),
             (None, Some(r)) => flow::analyze_with_registry(program, table, &graph, r),
             (None, None) => flow::analyze(program, table, &graph),
         };

@@ -18,11 +18,15 @@
 //!   every suggested transform until compliant or stuck, recording the
 //!   violation-count trajectory (the Fig. 2 curve).
 
-use crate::policy::Policy;
+use crate::policy::{AnalysisContext, Policy};
 use crate::transform::{self, TransformError, TransformOutcome};
 use crate::violation::Violation;
-use jtlang::ast::Program;
+use jtanalysis::db::{AnalysisDb, RunStats};
+use jtanalysis::MethodRef;
+use jtlang::ast::{MethodDecl, Program};
+use jtlang::reparse::{Fallback, MemberPos, Reparse, Splice};
 use jtlang::resolve::ClassTable;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -74,6 +78,65 @@ impl fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
+/// How [`RefinementSession::replace_source`] (or
+/// [`RefinementSession::from_source`]) built the session's program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrontendPath {
+    /// The edit lay inside one constructor or method with an unchanged
+    /// signature: that member alone was re-parsed
+    /// ([`jtlang::reparse()`]), spliced into the program and
+    /// type-checked against the kept class table. Empty when the text
+    /// did not change.
+    Spliced {
+        /// The re-parsed member.
+        members: Vec<MethodRef>,
+    },
+    /// The whole text went through the front end, for this reason.
+    Full(FullCause),
+}
+
+/// Why a revision took the full front end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FullCause {
+    /// There was no text to compare with: the session's first revision,
+    /// or the first after [`RefinementSession::apply`] rewrote the
+    /// program.
+    NoBaseText,
+    /// The edit touches text outside every constructor and method.
+    OutsideMember,
+    /// The re-parsed member ended elsewhere than the old one, shifted by
+    /// the edit (or turned into another kind of member).
+    MemberEndMoved,
+    /// The re-parsed member did not lex or parse on its own.
+    ParseError,
+    /// The member was spliced, but its signature changed, so the class
+    /// table was resolved and the program type-checked again.
+    SignatureChanged,
+}
+
+impl FullCause {
+    /// The cause's name in the `sfr.frontend.full.<name>` metric.
+    pub fn name(self) -> &'static str {
+        match self {
+            FullCause::NoBaseText => "no_base_text",
+            FullCause::OutsideMember => "outside_member",
+            FullCause::MemberEndMoved => "member_end_moved",
+            FullCause::ParseError => "parse_error",
+            FullCause::SignatureChanged => "signature_changed",
+        }
+    }
+}
+
+impl From<Fallback> for FullCause {
+    fn from(f: Fallback) -> Self {
+        match f {
+            Fallback::OutsideMember => FullCause::OutsideMember,
+            Fallback::MemberEndMoved => FullCause::MemberEndMoved,
+            Fallback::ParseError => FullCause::ParseError,
+        }
+    }
+}
+
 impl From<TransformError> for SessionError {
     fn from(e: TransformError) -> Self {
         SessionError::Transform(e.message)
@@ -87,13 +150,26 @@ impl From<TransformError> for SessionError {
 /// analyze/modify loop of Fig. 2 only re-analyzes the methods an edit
 /// actually touched (plus the summary cone above them). See
 /// [`RefinementSession::db_stats`].
+///
+/// The session also keeps the text its program was parsed from, so a
+/// [`RefinementSession::replace_source`] whose edit stays inside one
+/// member re-parses and type-checks that member alone, and the
+/// database re-fingerprints only it. See
+/// [`RefinementSession::frontend_path`].
 pub struct RefinementSession {
     program: Program,
     table: ClassTable,
     policy: Policy,
     history: Vec<IterationRecord>,
     registry: Option<jtobs::Registry>,
-    db: std::cell::RefCell<jtanalysis::db::AnalysisDb>,
+    db: RefCell<AnalysisDb>,
+    /// The text `program` was parsed from; `None` once a transform
+    /// rewrote the program.
+    text: Option<String>,
+    /// Members spliced since the database last analyzed the program;
+    /// `None` when it must fingerprint every member.
+    spliced: RefCell<Option<Vec<MemberPos>>>,
+    path: FrontendPath,
 }
 
 impl fmt::Debug for RefinementSession {
@@ -121,7 +197,10 @@ impl RefinementSession {
             policy,
             history: Vec::new(),
             registry: None,
-            db: std::cell::RefCell::new(jtanalysis::db::AnalysisDb::new()),
+            db: RefCell::new(AnalysisDb::new()),
+            text: Some(source.to_string()),
+            spliced: RefCell::new(None),
+            path: FrontendPath::Full(FullCause::NoBaseText),
         })
     }
 
@@ -161,7 +240,7 @@ impl RefinementSession {
     /// `(last check, lifetime totals)`. A second [`Self::check`] on an
     /// unchanged program reports zero recomputed queries in the first
     /// component.
-    pub fn db_stats(&self) -> (jtanalysis::db::RunStats, jtanalysis::db::RunStats) {
+    pub fn db_stats(&self) -> (RunStats, RunStats) {
         let db = self.db.borrow();
         (db.last_run(), db.totals())
     }
@@ -176,12 +255,14 @@ impl RefinementSession {
             // registry (when attached) into the dataflow suite so the
             // `jtanalysis.*` metrics are exported alongside `sfr.*`.
             let mut db = self.db.borrow_mut();
-            let cx = crate::policy::AnalysisContext::with_db(
-                &self.program,
-                &self.table,
-                &mut db,
-                self.registry.as_ref(),
-            );
+            let spliced = self.spliced.replace(Some(Vec::new()));
+            let (program, table, registry) = (&self.program, &self.table, self.registry.as_ref());
+            let cx = match &spliced {
+                Some(members) => {
+                    AnalysisContext::with_db_spliced(program, table, &mut db, members, registry)
+                }
+                None => AnalysisContext::with_db(program, table, &mut db, registry),
+            };
             self.policy.check_with_context(&cx)
         };
         if let Some(registry) = &self.registry {
@@ -203,14 +284,123 @@ impl RefinementSession {
     /// Manual mode: replaces the program wholesale (the designer edited
     /// the source).
     ///
+    /// When the edit from the previous text lies inside one constructor
+    /// or method and keeps its signature, only that member is re-parsed
+    /// and type-checked; otherwise the whole text goes through the
+    /// front end. Both give the same program, table and errors;
+    /// [`Self::frontend_path`] tells which one ran, and with a registry
+    /// attached each path counts as `sfr.frontend.spliced` or
+    /// `sfr.frontend.full.<cause>` ([`FullCause::name`]).
+    ///
     /// # Errors
     ///
-    /// [`SessionError::Frontend`] when the new text is ill-formed.
+    /// [`SessionError::Frontend`] when the new text is ill-formed; the
+    /// session then keeps its program.
     pub fn replace_source(&mut self, source: &str) -> Result<(), SessionError> {
-        let (program, table) = jtanalysis::frontend(source).map_err(SessionError::Frontend)?;
-        self.program = program;
-        self.table = table;
+        let path = self.load(source)?;
+        if let Some(registry) = &self.registry {
+            let name = match &path {
+                FrontendPath::Spliced { .. } => "sfr.frontend.spliced".to_string(),
+                FrontendPath::Full(cause) => format!("sfr.frontend.full.{}", cause.name()),
+            };
+            registry.counter(&name).inc();
+        }
+        self.path = path;
         Ok(())
+    }
+
+    /// How the current program was built (see [`FrontendPath`]).
+    pub fn frontend_path(&self) -> &FrontendPath {
+        &self.path
+    }
+
+    /// The front end of [`Self::replace_source`].
+    fn load(&mut self, source: &str) -> Result<FrontendPath, SessionError> {
+        let Some(old) = self.text.take() else {
+            let (program, table) = jtanalysis::frontend(source).map_err(SessionError::Frontend)?;
+            self.program = program;
+            self.table = table;
+            self.settle(String::new(), source, None);
+            return Ok(FrontendPath::Full(FullCause::NoBaseText));
+        };
+        let cause = match jtlang::reparse(&mut self.program, &old, source) {
+            Err(e) => {
+                self.text = Some(old);
+                return Err(SessionError::Frontend(e.to_string()));
+            }
+            Ok(Reparse::Spliced(None)) => {
+                self.text = Some(old);
+                return Ok(FrontendPath::Spliced {
+                    members: Vec::new(),
+                });
+            }
+            Ok(Reparse::Spliced(Some(Splice { pos, old: old_decl }))) => {
+                // A member whose signature is unchanged leaves the class
+                // table as it was, and only it needs checking again.
+                let class = &self.program.classes[pos.class];
+                let decl = pos.decl(&self.program);
+                if same_signature(&old_decl, decl) {
+                    let member = if pos.ctor {
+                        MethodRef::ctor(&class.name)
+                    } else {
+                        MethodRef::method(&class.name, &decl.name)
+                    };
+                    if let Err(e) = jtlang::types::check_member(&self.table, class, decl) {
+                        self.undo(source, old);
+                        return Err(SessionError::Frontend(e.to_string()));
+                    }
+                    self.settle(old, source, Some(pos));
+                    return Ok(FrontendPath::Spliced {
+                        members: vec![member],
+                    });
+                }
+                FullCause::SignatureChanged
+            }
+            Ok(Reparse::Full(fallback)) => fallback.into(),
+        };
+        let resolved = jtlang::resolve::resolve(&self.program)
+            .map_err(|e| e.to_string())
+            .and_then(|table| {
+                jtlang::types::check(&self.program, &table).map_err(|e| e.to_string())?;
+                Ok(table)
+            });
+        match resolved {
+            Ok(table) => {
+                self.table = table;
+                self.settle(old, source, None);
+                Ok(FrontendPath::Full(cause))
+            }
+            Err(e) => {
+                self.undo(source, old);
+                Err(SessionError::Frontend(e))
+            }
+        }
+    }
+
+    /// Makes `source` the base text of the next edit, in `buffer` (the
+    /// old text's, so the loop does not allocate one per revision), and
+    /// tells the database what changed: the member at `spliced`, or
+    /// (`None`) anything.
+    fn settle(&mut self, mut buffer: String, source: &str, spliced: Option<MemberPos>) {
+        buffer.clear();
+        buffer.push_str(source);
+        self.text = Some(buffer);
+        let pending = self.spliced.get_mut();
+        match (pending.as_mut(), spliced) {
+            (Some(members), Some(pos)) => {
+                if !members.contains(&pos) {
+                    members.push(pos);
+                }
+            }
+            _ => *pending = None,
+        }
+    }
+
+    /// Puts back the program of `old` after `source`, which parsed,
+    /// failed to resolve or type-check.
+    fn undo(&mut self, source: &str, old: String) {
+        jtlang::reparse(&mut self.program, source, &old).expect("the previous text parses");
+        self.text = Some(old);
     }
 
     /// Semi-automated mode: applies one named stock transform and
@@ -228,6 +418,11 @@ impl RefinementSession {
         let transform = transform::stock_transform(transform_name).ok_or_else(|| {
             SessionError::Transform(format!("no stock transform named `{transform_name}`"))
         })?;
+        // A transform rewrites the program, not the text: the next
+        // revision takes the full front end, and the database
+        // fingerprints every member again.
+        self.text = None;
+        *self.spliced.get_mut() = None;
         let outcome = transform.apply(&mut self.program)?;
         if let Some(registry) = &self.registry {
             if outcome.changed {
@@ -309,6 +504,16 @@ impl RefinementSession {
             trajectory,
         })
     }
+}
+
+/// True when `a` and `b` declare the same signature in the class
+/// table: name, modifiers, return type and parameter types.
+fn same_signature(a: &MethodDecl, b: &MethodDecl) -> bool {
+    a.name == b.name
+        && a.modifiers == b.modifiers
+        && a.return_type == b.return_type
+        && a.params.len() == b.params.len()
+        && a.params.iter().zip(&b.params).all(|(p, q)| p.ty == q.ty)
 }
 
 #[cfg(test)]
@@ -477,6 +682,145 @@ mod tests {
         // queries recompute, nothing else at the method level.
         assert_eq!(warm.recomputed, 4, "{warm:?}");
         assert!(warm.hits > 0, "{warm:?}");
+    }
+
+    const STEPPER: &str = "class A extends ASR {
+         private int x;
+         A() { x = 0; }
+         public void run() { x = step(); write(0, x); }
+         private int step() { return 1; }
+         private int other() { return 2; }
+     }";
+
+    /// Replaces the session's text and checks the findings against a
+    /// cold check of a fresh parse.
+    fn replace(s: &mut RefinementSession, text: &str) -> FrontendPath {
+        s.replace_source(text).unwrap();
+        let (program, table) = jtanalysis::frontend(text).unwrap();
+        assert_eq!(s.program(), &program);
+        assert_eq!(s.check(), Policy::asr().check(&program, &table), "{text}");
+        s.frontend_path().clone()
+    }
+
+    #[test]
+    fn replace_source_names_its_front_end_path() {
+        let registry = jtobs::Registry::new();
+        let mut s = session(STEPPER);
+        s.attach_registry(&registry);
+        assert_eq!(
+            s.frontend_path(),
+            &FrontendPath::Full(FullCause::NoBaseText)
+        );
+        s.check();
+        let step = STEPPER.replace("return 1;", "return 3;");
+        assert_eq!(
+            replace(&mut s, &step),
+            FrontendPath::Spliced {
+                members: vec![MethodRef::method("A", "step")]
+            }
+        );
+        assert_eq!(
+            replace(&mut s, &step),
+            FrontendPath::Spliced { members: vec![] }
+        );
+        let ctor = step.replace("x = 0;", "x = 0; x = x + 1;");
+        assert_eq!(
+            replace(&mut s, &ctor),
+            FrontendPath::Spliced {
+                members: vec![MethodRef::ctor("A")]
+            }
+        );
+        let field = ctor.replace("private int x;", "private int x; private int y;");
+        assert_eq!(
+            replace(&mut s, &field),
+            FrontendPath::Full(FullCause::OutsideMember)
+        );
+        let signature = field.replace("private int step()", "int step()");
+        assert_eq!(
+            replace(&mut s, &signature),
+            FrontendPath::Full(FullCause::SignatureChanged)
+        );
+        let split = signature.replace("return 3; }", "return 3; } int z() { return 0; }");
+        assert_eq!(
+            replace(&mut s, &split),
+            FrontendPath::Full(FullCause::MemberEndMoved)
+        );
+        let noted = split.replace("return 2;", "/* two */ return 2;");
+        assert!(matches!(
+            replace(&mut s, &noted),
+            FrontendPath::Spliced { .. }
+        ));
+        // A comment opened in `step` closes in `other`: the member alone
+        // does not lex, the whole text does.
+        let swallow = noted.replace("return 3;", "return 3; /*");
+        assert_eq!(
+            replace(&mut s, &swallow),
+            FrontendPath::Full(FullCause::ParseError)
+        );
+        if jtobs::ENABLED {
+            assert_eq!(registry.counter_value("sfr.frontend.spliced"), 4);
+            for cause in [
+                "outside_member",
+                "signature_changed",
+                "member_end_moved",
+                "parse_error",
+            ] {
+                let name = format!("sfr.frontend.full.{cause}");
+                assert_eq!(registry.counter_value(&name), 1, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn failed_replacements_keep_the_program() {
+        let mut s = session(STEPPER);
+        let before = s.program().clone();
+        for bad in [
+            // parse error inside a member
+            STEPPER.replace("return 1;", "return ;"),
+            // type error in a spliced member
+            STEPPER.replace("return 1;", "return true;"),
+            // type error after a signature change
+            STEPPER.replace(
+                "private int step() { return 1; }",
+                "boolean step() { return 1; }",
+            ),
+            // resolve error after an edit outside every member
+            STEPPER.replace("private int x;", "private Missing x;"),
+        ] {
+            assert!(
+                matches!(s.replace_source(&bad), Err(SessionError::Frontend(_))),
+                "{bad}"
+            );
+            assert_eq!(s.program(), &before, "{bad}");
+            assert_eq!(
+                s.frontend_path(),
+                &FrontendPath::Full(FullCause::NoBaseText)
+            );
+        }
+        // The base text is still the last good one.
+        let step = STEPPER.replace("return 1;", "return 5;");
+        assert!(matches!(
+            replace(&mut s, &step),
+            FrontendPath::Spliced { .. }
+        ));
+    }
+
+    #[test]
+    fn transforms_clear_the_base_text() {
+        let mut s = session(jtlang::corpus::UNRESTRICTED_AVG);
+        s.check();
+        assert!(s.apply("while-to-for").unwrap().changed);
+        let text = s.source();
+        assert_eq!(
+            replace(&mut s, &text),
+            FrontendPath::Full(FullCause::NoBaseText)
+        );
+        let edited = text.replacen("0", "1", 1);
+        assert!(matches!(
+            replace(&mut s, &edited),
+            FrontendPath::Spliced { .. }
+        ));
     }
 
     #[test]

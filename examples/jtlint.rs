@@ -53,11 +53,20 @@
 //! keeps the entire analysis tail warm: no points-to re-solve, zero
 //! constraints retracted or re-derived by the delta solver, and zero
 //! demand-query misses. This is the CI guard for both the "warm
-//! re-check is free" contract and the delta/demand tail.
+//! re-check is free" contract and the delta/demand tail. Its session
+//! leg then re-checks two revisions of each sample in a
+//! `sfr::session::RefinementSession`: one integer literal in a method
+//! body changed, which must take the spliced front end, and the
+//! comment-padded text, which must take the full one (an edit outside
+//! every member). Both must find exactly what a cold
+//! `Policy::asr().check` of a fresh parse finds. Samples without such
+//! a literal are skipped and counted on stderr.
 
 use jtanalysis::db::AnalysisDb;
+use jtlang::ast::ExprKind;
 use sfr::policy::{evidence_for, AnalysisContext, Policy};
 use jtobs::json::Json;
+use sfr::session::{FrontendPath, FullCause, RefinementSession};
 use sfr::violation::{self, render, Violation};
 
 /// Expected violation count per corpus sample under `Policy::asr()`.
@@ -107,6 +116,63 @@ fn lint(
             .collect()
     }))
     .map_err(|_| "analysis panicked (internal error)".to_string())
+}
+
+/// `source` with its first integer literal inside a constructor or
+/// method body increased by one; `None` when it has none (an `i++`
+/// desugars to a literal `1` that is not in the text, so the text at
+/// the literal's span must spell it).
+fn literal_edit(source: &str) -> Option<String> {
+    let program = jtlang::parse(source).ok()?;
+    let mut found = None;
+    for class in &program.classes {
+        for member in class.ctors.iter().chain(&class.methods) {
+            jtlang::ast::walk_exprs(&member.body, &mut |e| {
+                if let ExprKind::Int(v) = e.kind {
+                    if found.is_none() && source[e.span.start..e.span.end] == v.to_string() {
+                        found = Some((e.span, v));
+                    }
+                }
+            });
+        }
+    }
+    let (span, v) = found?;
+    Some(format!(
+        "{}{}{}",
+        &source[..span.start],
+        v + 1,
+        &source[span.end..]
+    ))
+}
+
+/// The `--warm-check` session leg for one sample: `Ok(false)` when the
+/// sample has no literal to edit.
+fn session_leg(source: &str) -> Result<bool, String> {
+    let Some(edited) = literal_edit(source) else {
+        return Ok(false);
+    };
+    let mut session =
+        RefinementSession::from_source(source, Policy::asr()).map_err(|e| e.to_string())?;
+    session.check();
+    let padded = format!("// warm-check pad\n{source}");
+    for (text, spliced) in [(&edited, true), (&padded, false)] {
+        session.replace_source(text).map_err(|e| e.to_string())?;
+        let path = session.frontend_path();
+        let expected = match path {
+            FrontendPath::Spliced { members } => spliced && members.len() == 1,
+            FrontendPath::Full(cause) => !spliced && *cause == FullCause::OutsideMember,
+        };
+        if !expected {
+            return Err(format!("unexpected front-end path {path:?}"));
+        }
+        let (program, table) = jtanalysis::frontend(text)?;
+        if session.check() != Policy::asr().check(&program, &table) {
+            return Err(format!(
+                "findings after the {path:?} revision differ from a cold check"
+            ));
+        }
+    }
+    Ok(true)
 }
 
 /// [`violation::to_json`] with the originating `file` as its first
@@ -189,6 +255,7 @@ fn main() {
     let mut internal_errors = 0usize;
     let mut regressions = 0usize;
     let mut warm_failures = 0usize;
+    let mut session_legs = (0usize, 0usize);
     let mut precision_failures = 0usize;
     let mut counts: Vec<(String, usize)> = Vec::new();
     let mut per_rule: std::collections::BTreeMap<String, usize> =
@@ -268,6 +335,14 @@ fn main() {
                     internal_errors += 1;
                 }
             }
+            match session_leg(sample.source) {
+                Ok(true) => session_legs.0 += 1,
+                Ok(false) => session_legs.1 += 1,
+                Err(e) => {
+                    eprintln!("jtlint: `{}` session leg: {e}", sample.name);
+                    warm_failures += 1;
+                }
+            }
         }
         let result = lint(sample.source, stats.then_some(&mut shared_db));
         match result {
@@ -309,6 +384,12 @@ fn main() {
     if stats {
         let t = shared_db.totals();
         println!("{}", jtanalysis::db::render_rollup(&t, shared_db.revision()));
+    }
+    if warm_check {
+        eprintln!(
+            "jtlint --warm-check: session leg on {} samples, {} without a literal skipped",
+            session_legs.0, session_legs.1
+        );
     }
     if warm_check && internal_errors == 0 && warm_failures == 0 {
         println!(
