@@ -21,7 +21,7 @@
 //! keys are unchanged and the dirty cone stops there.
 //!
 //! The whole-program points-to relation is maintained *differentially*
-//! across revisions by [`crate::ptdelta::PtCache`]: each method's
+//! across revisions by the delta points-to cache (`ptdelta`): each method's
 //! constraint contribution is keyed by a constant-blind shape
 //! fingerprint, an edit retracts only the tainted frontier's derived
 //! facts and re-propagates from there, and a span-only edit rebases
@@ -29,7 +29,7 @@
 //!
 //! The analysis *tail* — race verdicts, R13 ownership, R14 alias
 //! leaks, call-site loop proofs, R2 loop evidence, and per-method WCET
-//! folds — runs as demand queries memoized in [`crate::demand`]: each
+//! folds — runs as demand queries memoized in the demand layer: each
 //! product's span-free core is keyed by exactly the facts it cites
 //! (method keys, the signature fingerprint, the canonical points-to
 //! relation fingerprint, summary digests), so an edit whose effects
@@ -39,10 +39,11 @@
 //!
 //! Metrics (with a registry attached): `jtanalysis.db.hits`, `.misses`,
 //! `.recomputed`, `.invalidated`, `.scc_hits`, `.scc_misses`,
-//! `.pointsto_hits`, `.pointsto_misses`, `.pt_constraints_retracted`,
-//! `.pt_constraints_added`, `.demand_hits`, `.demand_misses`, and the
-//! `jtanalysis.db.revision` gauge, alongside the same suite metrics the
-//! batch driver exported.
+//! `.pointsto_hits`, `.pointsto_misses` (one per reset to the empty
+//! relation, also counted by cause as `.pointsto_reset.<cause>`),
+//! `.pt_constraints_retracted`, `.pt_constraints_added`,
+//! `.demand_hits`, `.demand_misses`, and the `jtanalysis.db.revision`
+//! gauge, alongside the same suite metrics the batch driver exported.
 
 use crate::callgraph::CallGraph;
 use crate::constprop::{self, ConstpropCore};
@@ -86,7 +87,8 @@ pub struct RunStats {
     /// Points-to relations served warm — rebased or delta-solved from
     /// the previous revision's constraint graph.
     pub pointsto_hits: u64,
-    /// Points-to relations solved from scratch.
+    /// Points-to relations solved from scratch: resets to the empty
+    /// relation.
     pub pointsto_misses: u64,
     /// Points-to constraint-set members retracted by the delta solver.
     pub pt_constraints_retracted: u64,
@@ -582,9 +584,17 @@ impl AnalysisDb {
         // derive every downstream product through the demand memo. The
         // race tiers share the same relation and context.
         timed(registry, "tail", || {
-            let (pt, outcome) = self.ptcache.update(program, table, pointsto::DEFAULT_K, Some(&ix));
+            let (pt, outcome) = self
+                .ptcache
+                .update(program, table, pointsto::DEFAULT_K, &ix);
             match outcome.path {
-                DeltaPath::Cold => stats.pointsto_misses += 1,
+                DeltaPath::Cold(cause) => {
+                    stats.pointsto_misses += 1;
+                    if let Some(r) = registry {
+                        r.counter(&format!("jtanalysis.db.pointsto_reset.{}", cause.name()))
+                            .inc();
+                    }
+                }
                 DeltaPath::Rebase | DeltaPath::Delta => stats.pointsto_hits += 1,
             }
             stats.pt_constraints_retracted += outcome.retracted;
@@ -965,6 +975,89 @@ mod tests {
             r2.definite.unassigned_reads[0].span,
         );
         assert_eq!(s2.start, s1.start + "/* pad pad pad */ ".len());
+    }
+
+    /// A session's revisions: the first solves cold, two constant edits
+    /// rebase, two structural edits delta-solve.
+    fn pointsto_session() -> Vec<String> {
+        let base = "class Item { public int v; Item() { v = 0; } }
+             class Box {
+                 private Item slot;
+                 Box() { slot = new Item(); }
+                 Item get() { return slot; }
+             }
+             class Main {
+                 public int demo() {
+                     Box b = new Box();
+                     Item i = b.get();
+                     Item keep = i;
+                     return 0;
+                 }
+             }";
+        let s1 = base.replace("v = 0;", "v = 1;");
+        let s2 = base.replace("v = 0;", "v = 2;");
+        let s3 = s2.replace("Item keep = i;", "Item keep = b.get();");
+        let s4 = s3.replace("Item keep = b.get();", "Item keep = new Item();");
+        vec![base.to_string(), s1, s2, s3, s4]
+    }
+
+    #[test]
+    fn pointsto_passes_count_the_revision_not_the_session() {
+        let registry = jtobs::Registry::new();
+        let mut db = AnalysisDb::new();
+        let mut exported = 0;
+        for (i, src) in pointsto_session().iter().enumerate() {
+            let (p, t, g) = setup(src);
+            let report = db.analyze_with_registry(&p, &t, &g, &registry);
+            let (warm, cold) = (
+                report.summary.pointsto.passes(),
+                pointsto::analyze(&p, &t).passes(),
+            );
+            exported += warm as u64;
+            let stats = db.last_run();
+            match i {
+                0 => assert_eq!(warm, cold),
+                1 | 2 => assert_eq!(warm, 0, "a rebase runs no pass"),
+                _ => {
+                    assert_eq!(
+                        stats.pointsto_hits, 1,
+                        "revision {i} must take the delta path"
+                    );
+                    assert!(
+                        (1..=cold).contains(&warm),
+                        "revision {i}: {warm} passes, cold {cold}"
+                    );
+                }
+            }
+        }
+        if jtobs::ENABLED {
+            assert_eq!(
+                registry.counter_value("jtanalysis.summary.pointsto_passes"),
+                exported
+            );
+        }
+    }
+
+    #[test]
+    fn pointsto_resets_are_counted_by_cause() {
+        let registry = jtobs::Registry::new();
+        let mut db = AnalysisDb::new();
+        let session = pointsto_session();
+        let other = "class Solo { public int v; Solo() { v = 0; } int get() { return v; } }";
+        for src in [session[0].as_str(), session[1].as_str(), other] {
+            let (p, t, g) = setup(src);
+            db.analyze_with_registry(&p, &t, &g, &registry);
+        }
+        assert_eq!(db.totals().pointsto_misses, 2);
+        assert_eq!(db.totals().pointsto_hits, 1);
+        if jtobs::ENABLED {
+            let reset = |cause: &str| {
+                registry.counter_value(&format!("jtanalysis.db.pointsto_reset.{cause}"))
+            };
+            assert_eq!(reset("no_state"), 1);
+            assert_eq!(reset("signature_changed"), 1);
+            assert_eq!(registry.counter_value("jtanalysis.db.pointsto_misses"), 2);
+        }
     }
 
     #[test]

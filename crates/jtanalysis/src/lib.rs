@@ -22,7 +22,7 @@
 //! On top of the syntactic tier sits a flow-sensitive suite built on a
 //! shared control-flow-graph + lattice-dataflow framework:
 //!
-//! * [`cfg`] — per-method control-flow graphs with explicit terminators,
+//! * [`cfg`](mod@cfg) — per-method control-flow graphs with explicit terminators,
 //!   loop shapes, and widening points,
 //! * [`dataflow`] — a lattice-generic forward/backward worklist solver
 //!   ([`dataflow::Analysis`] trait) with edge-sensitive transfer and

@@ -31,8 +31,8 @@
 //! Every object carries a **fingerprint-stable site id** ([`ObjInfo::site`],
 //! the walk-order ordinal of the allocation within its method, hashed
 //! with the method's name — *not* a node id), so the incremental
-//! database can cache a solved relation and [`PointsTo::rebase`] it onto
-//! a structurally identical revision whose spans moved.
+//! database can cache a solved relation and rebase it onto a
+//! structurally identical revision whose spans moved.
 //!
 //! The heap maps `(object, field)` to a set of objects; array elements
 //! use the pseudo-field [`ELEMS`]. Solving repeats three passes — a
@@ -40,9 +40,13 @@
 //! reach them, a *link* pass flowing call arguments into per-receiver
 //! callee parameters, and a *store* pass flowing assignments into
 //! variables, fields, and returns — until nothing changes or
-//! [`MAX_PASSES`] is hit. [`PointsTo::eval`] is pure, projects the
-//! per-context solution over all receiver contexts of the asking
-//! method, and can be re-applied to any expression after solving.
+//! [`MAX_PASSES`] is hit. There is one such loop: [`analyze_k`] runs it
+//! from the empty relation over every method, and the delta solver
+//! runs it over the methods an edit taints. [`PointsTo::eval`] is pure,
+//! projects the per-context solution over all receiver contexts of the
+//! asking method, and can be re-applied to any expression after
+//! solving. [`PointsTo::check_post_fixpoint`] checks a solved relation
+//! independently of how it was solved.
 
 use crate::fingerprint::{self, Fp};
 use crate::MethodRef;
@@ -133,7 +137,7 @@ pub(crate) struct Retraction {
 
 /// One allocation or builtin-result site, in body walk order.
 #[derive(Debug, Clone)]
-struct Site {
+pub(crate) struct Site {
     fp: Fp,
     expr_id: NodeId,
     span: Span,
@@ -192,7 +196,8 @@ impl PointsTo {
         self.objs.len()
     }
 
-    /// Global fixpoint passes performed.
+    /// Global fixpoint passes performed by the last solve (0 when the
+    /// relation was only rebased onto this revision).
     pub fn passes(&self) -> usize {
         self.passes
     }
@@ -440,10 +445,12 @@ impl PointsTo {
     /// Rebases a cached relation onto a structurally identical program
     /// whose spans (and therefore node ids) may have moved: every
     /// alloc/builtin object is re-keyed from its fingerprint-stable
-    /// site id to the revision's node id and span. Returns `false` —
-    /// caller must recompute — if any site no longer exists.
-    pub(crate) fn rebase(&mut self, program: &Program, table: &ClassTable) -> bool {
-        let sites = collect_sites(program, table);
+    /// site id to the revision's node id and span, given the
+    /// revision's [`collect_sites`]. Returns `false` — caller must
+    /// recompute — if any site no longer exists. No pass has run on
+    /// the revision yet, so [`Self::passes`] reads 0.
+    pub(crate) fn rebase(&mut self, sites: &[Site]) -> bool {
+        self.passes = 0;
         let by_fp: BTreeMap<Fp, &Site> = sites.iter().map(|s| (s.fp, s)).collect();
         if by_fp.len() != sites.len() {
             return false;
@@ -571,7 +578,7 @@ impl PointsTo {
     /// initializers) allocate, all heap slots of those objects, and
     /// every occurrence of those objects in surviving sets. Object ids
     /// are compacted afterwards; callers re-derive the retracted
-    /// methods with [`Self::delta_solve`].
+    /// methods with [`Self::solve`].
     pub(crate) fn retract_methods(&mut self, gone: &BTreeSet<MethodRef>) -> Retraction {
         let deleted: BTreeSet<ObjId> = self
             .objs
@@ -665,48 +672,36 @@ impl PointsTo {
         removed
     }
 
-    /// Re-runs the constraint fixpoint restricted to `active` methods
-    /// against an already-rebased relation: only their sites
-    /// materialize, only their bodies flow, and only field initializers
-    /// of classes whose constructor is active re-seed. Facts of
-    /// inactive methods are retained as-is — the caller's taint closure
-    /// guarantees no inactive method can read a changed fact. Returns
-    /// the convergence flag (false ⇒ caller must fall back to a cold
-    /// solve).
-    pub(crate) fn delta_solve(
+    /// The one propagation loop: runs the constraint fixpoint over the
+    /// `active` methods (`None`: every method, including the synthetic
+    /// constructor that field initializers of a class without one are
+    /// attributed to) against a relation keyed to `program` — rebased,
+    /// or empty with its site ids set. Only active sites materialize,
+    /// only active bodies flow, and only field initializers of classes
+    /// whose constructor is active re-seed. Facts of inactive methods
+    /// are retained as-is — the caller's taint closure guarantees no
+    /// inactive method can read a changed fact. Counts its passes from
+    /// 0 in [`Self::passes`] and returns the convergence flag (false ⇒
+    /// the caller must solve from the empty relation).
+    pub(crate) fn solve(
         &mut self,
         program: &Program,
         table: &ClassTable,
-        active: &BTreeSet<MethodRef>,
+        sites: &[Site],
+        active: Option<&BTreeSet<MethodRef>>,
         uncalled: &BTreeSet<MethodRef>,
     ) -> bool {
         self.locals.clear();
         collect_locals(program, self);
-        let sites = collect_sites(program, table);
-        self.site_fp_of_expr = sites.iter().map(|s| (s.expr_id, s.fp)).collect();
-        let active_sites: Vec<Site> = sites
+        let sites: Vec<&Site> = sites
             .iter()
-            .filter(|s| active.contains(&s.method))
-            .cloned()
+            .filter(|s| active.is_none_or(|a| a.contains(&s.method)))
             .collect();
-        let ext: BTreeSet<MethodRef> = uncalled.intersection(active).cloned().collect();
+        self.passes = 0;
         self.converged = false;
         for _ in 0..MAX_PASSES {
             self.passes += 1;
-            let mut changed = false;
-            changed |= materialize_pass(&active_sites, program, table, self);
-            changed |= seed_external_params(program, table, &ext, self);
-            for (_, decl, mref) in crate::each_method(program) {
-                if !active.contains(&mref) {
-                    continue;
-                }
-                for ctx in self.ctxs_of(&mref) {
-                    changed |= link_pass(program, table, self, decl, &mref, ctx);
-                    changed |= store_pass(program, table, self, decl, &mref, ctx);
-                }
-            }
-            changed |= init_pass_for(program, table, self, Some(active));
-            if !changed {
+            if !self.round(program, table, &sites, active, uncalled) {
                 self.converged = true;
                 break;
             }
@@ -714,6 +709,55 @@ impl PointsTo {
         self.canonicalize();
         self.rebuild_owners();
         self.converged
+    }
+
+    /// One round of every pass over the `active` methods: true when a
+    /// set grew or an object was created.
+    fn round(
+        &mut self,
+        program: &Program,
+        table: &ClassTable,
+        sites: &[&Site],
+        active: Option<&BTreeSet<MethodRef>>,
+        uncalled: &BTreeSet<MethodRef>,
+    ) -> bool {
+        let mut changed = materialize_pass(sites, program, table, self);
+        changed |= seed_external_params(program, table, uncalled, active, self);
+        for (_, decl, mref) in crate::each_method(program) {
+            if active.is_some_and(|a| !a.contains(&mref)) {
+                continue;
+            }
+            for ctx in self.ctxs_of(&mref) {
+                changed |= link_pass(program, table, self, decl, &mref, ctx);
+                changed |= store_pass(program, table, self, decl, &mref, ctx);
+            }
+        }
+        changed | init_pass_for(program, table, self, active)
+    }
+
+    /// Certificate check, independent of how the relation was solved:
+    /// one more round of the passes over every method of `program` (the
+    /// revision the relation is keyed to), on a copy, must derive
+    /// nothing. Passing shows every constraint holds in the relation (a
+    /// post-fixpoint, so it over-approximates the least solution); it
+    /// does not show the relation is the least one — that still takes a
+    /// comparison with [`analyze_k`].
+    ///
+    /// # Errors
+    ///
+    /// Names the growth when the round grew a set or created an object.
+    pub fn check_post_fixpoint(&self, program: &Program, table: &ClassTable) -> Result<(), String> {
+        let sites = collect_sites(program, table);
+        let all: Vec<&Site> = sites.iter().collect();
+        let uncalled = uncalled_methods(program, table);
+        let mut copy = self.clone();
+        if copy.round(program, table, &all, None, &uncalled) {
+            let (objs, facts) = (copy.objs.len(), copy.fact_pairs());
+            return Err(format!(
+                "one more round grew the relation to {objs} objects, {facts} facts"
+            ));
+        }
+        Ok(())
     }
 
     /// Total derived facts: var-set plus heap-set members.
@@ -856,38 +900,18 @@ pub fn analyze(program: &Program, table: &ClassTable) -> PointsTo {
 }
 
 /// Computes the whole-program points-to relation at context depth `k`
-/// (`k = 0` is the classic context-insensitive analysis).
+/// (`k = 0` is the classic context-insensitive analysis): the one
+/// propagation loop from the empty relation, every method active.
 pub fn analyze_k(program: &Program, table: &ClassTable, k: usize) -> PointsTo {
+    let sites = collect_sites(program, table);
     let mut pt = PointsTo {
         k,
+        site_fp_of_expr: sites.iter().map(|s| (s.expr_id, s.fp)).collect(),
         ..PointsTo::default()
     };
-    collect_locals(program, &mut pt);
-    let sites = collect_sites(program, table);
-    for site in &sites {
-        pt.site_fp_of_expr.insert(site.expr_id, site.fp);
-    }
     create_summaries(program, table, &sites, &mut pt);
     let uncalled = uncalled_methods(program, table);
-    for _ in 0..MAX_PASSES {
-        pt.passes += 1;
-        let mut changed = false;
-        changed |= materialize_pass(&sites, program, table, &mut pt);
-        changed |= seed_external_params(program, table, &uncalled, &mut pt);
-        for (_, decl, mref) in crate::each_method(program) {
-            for ctx in pt.ctxs_of(&mref) {
-                changed |= link_pass(program, table, &mut pt, decl, &mref, ctx);
-                changed |= store_pass(program, table, &mut pt, decl, &mref, ctx);
-            }
-        }
-        changed |= init_pass_for(program, table, &mut pt, None);
-        if !changed {
-            pt.converged = true;
-            break;
-        }
-    }
-    pt.canonicalize();
-    pt.rebuild_owners();
+    pt.solve(program, table, &sites, None, &uncalled);
     pt
 }
 
@@ -917,7 +941,7 @@ fn collect_var_decls(decl: &MethodDecl) -> Vec<String> {
 /// Enumerates every allocation and reference-returning builtin site in
 /// walk order, assigning each its fingerprint-stable site id (method
 /// name + walk-order ordinal — stable across span-only edits).
-fn collect_sites(program: &Program, table: &ClassTable) -> Vec<Site> {
+pub(crate) fn collect_sites(program: &Program, table: &ClassTable) -> Vec<Site> {
     let mut sites = Vec::new();
     let mut ordinals: BTreeMap<(String, String, bool), u64> = BTreeMap::new();
     let mut add = |sites: &mut Vec<Site>,
@@ -989,6 +1013,17 @@ fn collect_sites(program: &Program, table: &ClassTable) -> Vec<Site> {
     sites
 }
 
+/// The distinct classes (or array-type renderings) of every allocation
+/// and builtin site in the program: the walked set the delta solver's
+/// shape-derived site classes must equal.
+#[cfg(test)]
+pub(crate) fn site_classes(program: &Program, table: &ClassTable) -> BTreeSet<String> {
+    collect_sites(program, table)
+        .into_iter()
+        .map(|s| s.class)
+        .collect()
+}
+
 /// Creates summary objects for classes nothing in the program
 /// instantiates, and seeds the per-class this-sets with them.
 fn create_summaries(program: &Program, table: &ClassTable, sites: &[Site], pt: &mut PointsTo) {
@@ -1033,7 +1068,7 @@ fn add_summary(program: &Program, table: &ClassTable, class: &str, pt: &mut Poin
 /// under. New receivers discovered by later passes pick up their clones
 /// on the next iteration (the outer fixpoint covers it).
 fn materialize_pass(
-    sites: &[Site],
+    sites: &[&Site],
     program: &Program,
     table: &ClassTable,
     pt: &mut PointsTo,
@@ -1075,18 +1110,6 @@ fn materialize_pass(
     changed
 }
 
-/// The distinct classes (or array-type renderings) of every allocation
-/// and builtin site in the program. Summary-object eligibility — and
-/// therefore the shape of the whole relation — is a function of this
-/// set, so the delta solver guards on it and falls back to a cold
-/// solve when it changes.
-pub(crate) fn site_classes(program: &Program, table: &ClassTable) -> BTreeSet<String> {
-    collect_sites(program, table)
-        .into_iter()
-        .map(|s| s.class)
-        .collect()
-}
-
 /// Methods no analyzed code calls: their parameters arrive from an
 /// unknown external caller.
 pub(crate) fn uncalled_methods(program: &Program, table: &ClassTable) -> BTreeSet<MethodRef> {
@@ -1118,15 +1141,19 @@ pub(crate) fn uncalled_methods(program: &Program, table: &ClassTable) -> BTreeSe
 /// object of the parameter's class (plus every in-program instance), in
 /// every receiver context the method currently has: an external caller
 /// may pass any of them, and may pass the same object to two different
-/// uncalled methods.
+/// uncalled methods. Only the `active` ones (`None`: all) are seeded.
 fn seed_external_params(
     program: &Program,
     table: &ClassTable,
     uncalled: &BTreeSet<MethodRef>,
+    active: Option<&BTreeSet<MethodRef>>,
     pt: &mut PointsTo,
 ) -> bool {
     let mut changed = false;
     for mref in uncalled {
+        if active.is_some_and(|a| !a.contains(mref)) {
+            continue;
+        }
         let Some((_, decl, _)) = find_decl(program, mref) else {
             continue;
         };
@@ -1622,6 +1649,28 @@ mod tests {
     }
 
     #[test]
+    fn a_solved_relation_is_a_post_fixpoint_and_a_pruned_one_is_not() {
+        let (p, t, pt) = run("class Inner { private int x; Inner() { x = 0; } }
+             class Outer {
+                 private Inner kid;
+                 Outer() { kid = new Inner(); }
+             }
+             class Main { public int demo() { Outer o = new Outer(); return 0; } }");
+        assert_eq!(pt.check_post_fixpoint(&p, &t), Ok(()));
+        let mut pruned = pt.clone();
+        let slot = pruned
+            .heap
+            .iter()
+            .find(|((_, field), _)| field == "kid")
+            .map(|(key, _)| key.clone())
+            .expect("kid slot");
+        let fact = *pruned.heap[&slot].iter().next().unwrap();
+        pruned.heap.get_mut(&slot).unwrap().remove(&fact);
+        let err = pruned.check_post_fixpoint(&p, &t).unwrap_err();
+        assert!(err.contains("facts"), "{err}");
+    }
+
+    #[test]
     fn rebase_remaps_node_ids_and_spans() {
         let src = "class Cell { private int n; Cell() { n = 0; } }
              class Main { public int demo() { Cell a = new Cell(); return 0; } }";
@@ -1632,7 +1681,7 @@ mod tests {
         let (p2, t2) = frontend(&shifted).unwrap();
         let mut pt = analyze(&p1, &t1);
         let fresh = analyze(&p2, &t2);
-        assert!(pt.rebase(&p2, &t2));
+        assert!(pt.rebase(&collect_sites(&p2, &t2)));
         let spans1: Vec<Span> = pt.objects().map(|o| o.span).collect();
         let spans2: Vec<Span> = fresh.objects().map(|o| o.span).collect();
         assert_eq!(spans1, spans2);

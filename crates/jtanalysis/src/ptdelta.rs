@@ -7,29 +7,34 @@
 //! relation together with a per-method **constraint shape** — a
 //! constant-blind structural fingerprint plus the syntactic facts that
 //! determine which constraints the method contributes (callees, field
-//! names touched, allocation classes, class-typed parameters). Shape
-//! extraction is itself incremental: when the caller supplies a
-//! [`ProgramIndex`] whose method set, signature table, and class
-//! contexts match the cache, only methods whose raw fingerprint
-//! changed are re-extracted, and the allocation-site and uncalled sets
-//! are folded out of the shape map instead of re-walking every body.
-//! On the next revision it compares shapes and takes one of three
-//! paths:
+//! names touched, allocation classes, class-typed parameters).
 //!
-//! 1. **Rebase** — no method changed shape (an edit touched only
-//!    literals, spans, or comments, none of which feed the points-to
-//!    constraints): the cached relation is re-keyed onto the new parse
-//!    via [`PointsTo::rebase`]. Zero constraints retracted or re-added.
-//! 2. **Delta** — some methods changed: a *taint closure* over the
+//! Every revision takes one flow ([`PtCache::update`]):
+//!
+//! 1. **Changed methods** — from the revision's [`ProgramIndex`]: the
+//!    methods whose key differs, methods added or removed, and every
+//!    method of a class whose context fingerprint changed (it covers
+//!    the field initializers, which the class's possibly synthetic
+//!    constructor owns). With no cached state, every method.
+//! 2. **Shapes** — only the changed shapes are re-extracted; the
+//!    allocation-site classes and the uncalled set are folded out of
+//!    the shape map instead of re-walking every body.
+//! 3. **Reset** — the relation goes back to empty, and every method is
+//!    solved, for a typed [`ResetCause`]: no cached state, a changed
+//!    depth `k`, a changed class signature table, a changed
+//!    allocation-class set (summary-object eligibility), a cached
+//!    relation that had not converged, a surviving site that vanished
+//!    on rebase, or a restricted re-solve that diverged.
+//! 4. **Taint, retract, rebase, solve** — a *taint closure* over the
 //!    shape graph finds every method whose constraints could read a
-//!    changed fact, their constraints are retracted
+//!    changed fact; their constraints are retracted
 //!    ([`PointsTo::retract_methods`] / [`PointsTo::retract_fields`]),
-//!    and the fixpoint re-runs restricted to the tainted frontier
-//!    ([`PointsTo::delta_solve`]). Untainted methods keep their facts.
-//! 3. **Cold** — the class signature table, the allocation-class set
-//!    (summary-object eligibility), or `k` changed, the cached
-//!    relation had not converged, or the restricted re-solve fails to
-//!    converge: fall back to a full [`pointsto::analyze_k`].
+//!    the relation is rebased onto the revision's node ids and spans,
+//!    and the one propagation loop ([`PointsTo::solve`]) re-derives the
+//!    tainted methods. Untainted methods keep their facts. With nothing
+//!    tainted — an edit that touched only literals, spans, or comments,
+//!    none of which feed the points-to constraints — only the rebase
+//!    runs ([`DeltaPath::Rebase`]).
 //!
 //! The taint closure is deliberately syntactic and symmetric, so its
 //! soundness is mechanical: a changed method taints its callers and
@@ -44,8 +49,10 @@
 //! reports back which *surviving* constraint sets lost an object; the
 //! owning methods join the taint set and the closure re-runs until no
 //! retained fact mentions a retracted object. Batch ≡ incremental is
-//! enforced by [`PointsTo::same_relation`] against a cold solve in the
-//! tests here and the `incremental_properties` proptests.
+//! enforced by [`PointsTo::same_relation`] against
+//! [`pointsto::analyze_k`] in the tests here and the
+//! `incremental_properties` proptests, which also check every warm
+//! relation with [`PointsTo::check_post_fixpoint`].
 
 use crate::fingerprint::{self, Fp, ProgramIndex, StructHasher};
 use crate::pointsto::{self, PointsTo};
@@ -57,12 +64,52 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Which solve path [`PtCache::update`] took for one revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaPath {
-    /// Full cold solve (first revision, or a guard tripped).
-    Cold,
-    /// Span-only re-key of the cached relation; nothing re-solved.
+    /// Reset to the empty relation and solved every method, for this
+    /// reason.
+    Cold(ResetCause),
+    /// Nothing tainted: span-only re-key of the cached relation;
+    /// nothing re-solved.
     Rebase,
     /// Tainted frontier retracted and re-derived.
     Delta,
+}
+
+/// Why a revision reset the relation to the empty one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ResetCause {
+    /// No cached relation: the first revision.
+    NoState,
+    /// The context depth differs from the cached relation's.
+    DepthChanged,
+    /// The class signature table changed, so calls may resolve
+    /// differently and every shape is re-extracted.
+    SignatureChanged,
+    /// The set of allocation-site classes changed, and with it which
+    /// classes get a summary object.
+    SiteClassesChanged,
+    /// The cached relation had hit [`pointsto::MAX_PASSES`].
+    NotConverged,
+    /// A surviving object's allocation site is missing from the
+    /// revision, so the relation could not be rebased.
+    SiteVanished,
+    /// The restricted re-solve hit [`pointsto::MAX_PASSES`].
+    Diverged,
+}
+
+impl ResetCause {
+    /// The cause's name in the `jtanalysis.db.pointsto_reset.<name>`
+    /// metric.
+    pub fn name(self) -> &'static str {
+        match self {
+            ResetCause::NoState => "no_state",
+            ResetCause::DepthChanged => "depth_changed",
+            ResetCause::SignatureChanged => "signature_changed",
+            ResetCause::SiteClassesChanged => "site_classes_changed",
+            ResetCause::NotConverged => "not_converged",
+            ResetCause::SiteVanished => "site_vanished",
+            ResetCause::Diverged => "diverged",
+        }
+    }
 }
 
 /// Per-revision traffic report of the delta solver.
@@ -76,8 +123,6 @@ pub struct DeltaOutcome {
     /// Constraint-set members derived this revision (total facts for a
     /// cold solve, the re-derived frontier for a delta).
     pub added: u64,
-    /// Methods in the taint closure (0 for rebase).
-    pub tainted: u64,
 }
 
 /// The constraint shape of one method: everything about its body that
@@ -109,7 +154,7 @@ struct MethodShape {
 }
 
 /// Cached state of the previous revision.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CachedPt {
     k: usize,
     sig: Fp,
@@ -117,8 +162,7 @@ struct CachedPt {
     uncalled: BTreeSet<MethodRef>,
     shapes: BTreeMap<MethodRef, MethodShape>,
     /// Raw per-method fingerprints of the revision the shapes were
-    /// extracted from (from [`ProgramIndex::methods`]); empty when the
-    /// last update ran without an index.
+    /// extracted from (from [`ProgramIndex::methods`]).
     mkeys: BTreeMap<MethodRef, Fp>,
     /// Per-class context fingerprints of that revision (covers field
     /// declarations and initializers — the only method-external input
@@ -129,7 +173,7 @@ struct CachedPt {
 
 /// Cross-revision delta points-to cache. One slot: the evolving
 /// program of a refinement session. Lint runs over unrelated programs
-/// simply take the cold path each time (the signature guard trips).
+/// simply reset each time (the signature guard trips).
 #[derive(Debug, Default)]
 pub(crate) struct PtCache {
     state: Option<CachedPt>,
@@ -137,303 +181,214 @@ pub(crate) struct PtCache {
 
 impl PtCache {
     /// Solves (or incrementally re-solves) the relation for `program`
-    /// at depth `k`, returning an owned canonical relation and the
-    /// traffic taken to produce it.
+    /// at depth `k`, given its index `ix`, returning an owned canonical
+    /// relation and the traffic taken to produce it. The one flow of
+    /// the module doc.
     pub(crate) fn update(
         &mut self,
         program: &Program,
         table: &ClassTable,
         k: usize,
-        ix: Option<&ProgramIndex>,
-    ) -> (PointsTo, DeltaOutcome) {
-        let sig = fingerprint::sig_fp(table);
-        // Narrow path: the index proves the method set is stable and
-        // names which bodies changed, so only those shapes get
-        // re-extracted before the rebase/delta machinery runs. An empty
-        // changed set is the no-op revision: a pure rebase.
-        if let Some(ix) = ix {
-            if let Some(outcome) = self.try_incremental(program, table, k, sig, ix) {
-                let state = self.state.as_ref().expect("incremental path keeps state");
-                return (state.pt.clone(), outcome);
-            }
-        }
-        // Full path: no index, or the cache cannot vouch for the
-        // revision (first run, signature or class-context drift,
-        // method set churn). Extract every shape and walk every body.
-        let shapes = extract_shapes(program, table);
-        let site_classes = pointsto::site_classes(program, table);
-        let uncalled = pointsto::uncalled_methods(program, table);
-
-        let outcome =
-            self.try_warm(program, table, k, sig, &shapes, &site_classes, &uncalled, None);
-        let outcome = match outcome {
-            Some(o) => o,
-            None => {
-                let pt = pointsto::analyze_k(program, table, k);
-                let added = pt.fact_pairs();
-                self.state = Some(CachedPt {
-                    k,
-                    sig,
-                    site_classes: site_classes.clone(),
-                    uncalled: uncalled.clone(),
-                    shapes: shapes.clone(),
-                    mkeys: BTreeMap::new(),
-                    class_ctx: BTreeMap::new(),
-                    pt,
-                });
-                DeltaOutcome {
-                    path: DeltaPath::Cold,
-                    retracted: 0,
-                    added,
-                    tainted: 0,
-                }
-            }
-        };
-        let state = self.state.as_mut().expect("state set on every path");
-        state.sig = sig;
-        state.site_classes = site_classes;
-        state.uncalled = uncalled;
-        state.shapes = shapes;
-        match ix {
-            Some(ix) => {
-                state.mkeys =
-                    ix.methods.iter().map(|(m, (fp, _))| (m.clone(), *fp)).collect();
-                state.class_ctx = ix.class_ctx.clone();
-            }
-            None => {
-                state.mkeys = BTreeMap::new();
-                state.class_ctx = BTreeMap::new();
-            }
-        }
-        let pt = state.pt.clone();
-        (pt, outcome)
-    }
-
-    /// The narrow warm path for an indexed revision whose method set,
-    /// signature table, and class contexts all match the cache: only
-    /// methods whose raw fingerprint changed get their shape
-    /// re-extracted (a shape reads nothing outside its body, its
-    /// class's field initializers, and the signature table).
-    ///
-    /// When every re-extracted shape equals its cached counterpart —
-    /// e.g. a literal tweak the constant-blind shape fingerprint masks
-    /// — the cached relation is rebased in place without cloning the
-    /// shape map or re-deriving the site and uncalled sets. Otherwise
-    /// the fresh shapes overlay a copy of the cached map and the
-    /// ordinary rebase/delta machinery runs with the changed set as a
-    /// seed hint.
-    ///
-    /// `None` means the cache could not vouch for the revision and the
-    /// caller must take the full extraction path.
-    fn try_incremental(
-        &mut self,
-        program: &Program,
-        table: &ClassTable,
-        k: usize,
-        sig: Fp,
         ix: &ProgramIndex,
-    ) -> Option<DeltaOutcome> {
-        let changed: BTreeSet<MethodRef> = {
-            let cached = self.state.as_ref()?;
-            if cached.k != k
-                || cached.sig != sig
-                || cached.mkeys.is_empty()
-                || cached.class_ctx != ix.class_ctx
-                || cached.mkeys.len() != ix.methods.len()
-                || !cached.mkeys.keys().eq(ix.methods.keys())
-                || !cached.pt.converged()
-            {
-                return None;
-            }
-            ix.methods
-                .iter()
-                .filter(|(m, (fp, _))| cached.mkeys[*m] != *fp)
-                .map(|(m, _)| m.clone())
-                .collect()
+    ) -> (PointsTo, DeltaOutcome) {
+        let mut reset = match &self.state {
+            None => Some(ResetCause::NoState),
+            Some(st) if st.k != k => Some(ResetCause::DepthChanged),
+            Some(st) if st.sig != ix.sig => Some(ResetCause::SignatureChanged),
+            Some(st) if !st.pt.converged() => Some(ResetCause::NotConverged),
+            Some(_) => None,
         };
-        let mut fresh: BTreeMap<MethodRef, MethodShape> = BTreeMap::new();
-        for (class, decl, mref) in crate::each_method(program) {
-            if !changed.contains(&mref) {
-                continue;
-            }
-            let mut sh = shape_of_method(program, table, decl, &mref);
-            if mref.is_ctor {
-                if let Some((inits_fp, extra)) = init_shape(class, program, table) {
-                    merge_inits(&mut sh, inits_fp, extra);
-                }
-            }
-            fresh.insert(mref, sh);
+        let st = self.state.get_or_insert_with(CachedPt::default);
+        if reset.is_some() {
+            *st = CachedPt::default();
         }
-        let identical = {
-            let cached = self.state.as_ref().expect("guarded above");
-            fresh.iter().all(|(m, sh)| cached.shapes.get(m) == Some(sh))
-        };
-        if identical {
-            let cached = self.state.as_mut().expect("guarded above");
-            if !cached.pt.rebase(program, table) {
-                return None;
-            }
-            for m in changed {
-                if let Some((fp, _)) = ix.methods.get(&m) {
-                    cached.mkeys.insert(m, *fp);
+        (st.k, st.sig) = (k, ix.sig);
+
+        // 1. The changed methods; 2. their shapes.
+        let changed = st.changed_methods(ix);
+        for m in &changed {
+            match ix.methods.get(m) {
+                Some((fp, _)) => st.mkeys.insert(m.clone(), *fp),
+                None => st.mkeys.remove(m),
+            };
+        }
+        let fresh = shapes_of(program, table, changed);
+        st.class_ctx.clone_from(&ix.class_ctx);
+        // Equal shapes (e.g. a literal tweak the constant-blind
+        // fingerprint masks) taint nothing, and leave the shape map and
+        // the sets folded out of it as they are.
+        let mut tainted: BTreeSet<MethodRef> = BTreeSet::new();
+        let mut old_shapes: BTreeMap<MethodRef, MethodShape> = BTreeMap::new();
+        let mut old_uncalled: BTreeSet<MethodRef> = BTreeSet::new();
+        if fresh.iter().any(|(m, sh)| st.shapes.get(m) != sh.as_ref()) {
+            for (m, sh) in fresh {
+                let old = match sh {
+                    Some(sh) => st.shapes.insert(m.clone(), sh),
+                    None => st.shapes.remove(&m),
+                };
+                if old.as_ref().map(|o| o.fp) != st.shapes.get(&m).map(|s| s.fp) {
+                    tainted.insert(m.clone());
+                }
+                if let Some(old) = old {
+                    old_shapes.insert(m, old);
                 }
             }
-            return Some(DeltaOutcome {
-                path: DeltaPath::Rebase,
+            let (site_classes, uncalled) = derive_sites_uncalled(&st.shapes, ix);
+            if reset.is_none() && site_classes != st.site_classes {
+                reset = Some(ResetCause::SiteClassesChanged);
+            }
+            // Seeding is part of a method's constraints: an
+            // uncalled-status flip taints it.
+            tainted.extend(st.uncalled.symmetric_difference(&uncalled).cloned());
+            old_uncalled = std::mem::replace(&mut st.uncalled, uncalled);
+            st.site_classes = site_classes;
+        }
+
+        // 3. Reset, or 4. taint, retract, rebase, solve.
+        let warm = match reset {
+            Some(cause) => Err(cause),
+            None => st.resolve(program, table, tainted, &old_shapes, &old_uncalled),
+        };
+        let outcome = warm.unwrap_or_else(|cause| {
+            st.pt = pointsto::analyze_k(program, table, k);
+            DeltaOutcome {
+                path: DeltaPath::Cold(cause),
                 retracted: 0,
-                added: 0,
-                tainted: 0,
-            });
-        }
-        let mut shapes = self.state.as_ref().expect("guarded above").shapes.clone();
-        for (m, sh) in fresh {
-            shapes.insert(m, sh);
-        }
-        let (site_classes, uncalled) = derive_sites_uncalled(&shapes, ix);
-        let outcome = self.try_warm(
-            program,
-            table,
-            k,
-            sig,
-            &shapes,
-            &site_classes,
-            &uncalled,
-            Some(&changed),
-        )?;
-        let state = self.state.as_mut().expect("warm path keeps state");
-        state.site_classes = site_classes;
-        state.uncalled = uncalled;
-        state.shapes = shapes;
-        for m in changed {
-            if let Some((fp, _)) = ix.methods.get(&m) {
-                state.mkeys.insert(m, *fp);
+                added: st.pt.fact_pairs(),
             }
-        }
-        Some(outcome)
+        });
+        (st.pt.clone(), outcome)
+    }
+}
+
+impl CachedPt {
+    /// The methods whose constraint shape may differ in the revision
+    /// `ix` indexes: key changed, added or removed, or of a class whose
+    /// context changed — including its constructor, which owns the
+    /// field initializers even when the class declares none.
+    fn changed_methods(&self, ix: &ProgramIndex) -> BTreeSet<MethodRef> {
+        let ctx_changed = |c: &String| ix.class_ctx.get(c) != self.class_ctx.get(c);
+        let ctors = ix.class_ctx.keys().chain(self.class_ctx.keys());
+        ix.methods
+            .keys()
+            .chain(self.mkeys.keys())
+            .filter(|m| {
+                ix.methods.get(*m).map(|(fp, _)| fp) != self.mkeys.get(*m) || ctx_changed(&m.class)
+            })
+            .cloned()
+            .chain(ctors.filter(|c| ctx_changed(c)).map(MethodRef::ctor))
+            .collect()
     }
 
-    /// Attempts the rebase or delta path; `None` means cold.
-    #[allow(clippy::too_many_arguments)]
-    fn try_warm(
-        &mut self,
-        program: &Program,
-        table: &ClassTable,
-        k: usize,
-        sig: Fp,
-        shapes: &BTreeMap<MethodRef, MethodShape>,
-        site_classes: &BTreeSet<String>,
-        uncalled: &BTreeSet<MethodRef>,
-        changed: Option<&BTreeSet<MethodRef>>,
-    ) -> Option<DeltaOutcome> {
-        let cached = self.state.as_mut()?;
-        if cached.k != k
-            || cached.sig != sig
-            || cached.site_classes != *site_classes
-            || !cached.pt.converged()
-        {
-            return None;
+    /// The summary-object classes the relation holds but a cold solve
+    /// of this revision would not create. Summary objects exist for
+    /// classes without allocation sites (the site-class set is
+    /// unchanged) *and* for non-builtin parameter classes of uncalled
+    /// methods; an uncalled→called flip can strand one.
+    fn stale_summaries(&self, program: &Program, table: &ClassTable) -> BTreeSet<String> {
+        let mut expected: BTreeSet<&String> = program
+            .classes
+            .iter()
+            .filter(|c| {
+                !self
+                    .site_classes
+                    .iter()
+                    .any(|s| table.is_subclass_of(s, &c.name))
+            })
+            .map(|c| &c.name)
+            .collect();
+        for s in self.uncalled.iter().filter_map(|m| self.shapes.get(m)) {
+            let user = |cn: &&String| !table.class(cn).is_some_and(|c| c.is_builtin);
+            expected.extend(s.param_classes.iter().filter(user));
         }
-        // Seed: methods whose constraint shape changed, plus
-        // added/removed methods and uncalled-status flips (seeding is
-        // part of a method's constraints). When the shape pass already
-        // narrowed the candidates (method sets equal, only `changed`
-        // bodies differ), only those shapes need comparing.
-        let mut tainted: BTreeSet<MethodRef> = BTreeSet::new();
-        match changed {
-            Some(ch) => {
-                for m in ch {
-                    if cached.shapes.get(m).map(|o| o.fp) != shapes.get(m).map(|s| s.fp) {
-                        tainted.insert(m.clone());
-                    }
-                }
-            }
-            None => {
-                for (m, s) in shapes {
-                    if cached.shapes.get(m).map(|o| o.fp) != Some(s.fp) {
-                        tainted.insert(m.clone());
-                    }
-                }
-                for m in cached.shapes.keys() {
-                    if !shapes.contains_key(m) {
-                        tainted.insert(m.clone());
-                    }
-                }
-            }
-        }
-        for m in cached.uncalled.symmetric_difference(uncalled) {
-            tainted.insert(m.clone());
-        }
-        if tainted.is_empty() {
-            if !cached.pt.rebase(program, table) {
-                return None;
-            }
-            return Some(DeltaOutcome {
-                path: DeltaPath::Rebase,
-                retracted: 0,
-                added: 0,
-                tainted: 0,
-            });
-        }
-
-        let edges = TaintEdges::build(&cached.shapes, shapes, &cached.uncalled, uncalled, table);
-        let mut fields: BTreeSet<String> = BTreeSet::new();
-        let mut retracted = 0u64;
-        // Summary objects exist for classes without allocation sites
-        // (guarded above) *and* for parameter classes of uncalled
-        // methods; an uncalled→called flip can strand one. Delete any
-        // the new revision would not create.
-        let expected = expected_summaries(program, table, site_classes, shapes, uncalled);
-        let stale: BTreeSet<String> = cached
-            .pt
+        self.pt
             .summary_of_class
             .keys()
-            .filter(|c| !expected.contains(*c))
+            .filter(|c| !expected.contains(c))
             .cloned()
-            .collect();
-        if !stale.is_empty() {
-            let r = cached.pt.retract_summaries(&stale);
-            retracted += r.facts_removed;
-            tainted.extend(r.implicated_methods);
-            fields.extend(r.implicated_fields);
-        }
-        // Closure, retraction, and the prune-feedback loop: retraction
-        // reports surviving sets that lost an object, whose owners
-        // must also re-derive.
-        loop {
-            edges.close(&mut tainted, &mut fields);
-            let r = cached.pt.retract_methods(&tainted);
-            retracted += r.facts_removed;
-            retracted += cached.pt.retract_fields(&fields);
-            let mut grew = false;
-            for m in r.implicated_methods {
-                grew |= tainted.insert(m);
+            .collect()
+    }
+
+    /// Step 4 of the flow on the cached relation: closes `tainted`
+    /// over the shape graph, retracts the closure's facts, rebases the
+    /// relation onto `program`, and re-derives the closure with the one
+    /// propagation loop. `old_shapes` holds the previous shapes of the
+    /// changed methods, `old_uncalled` the previous uncalled set.
+    /// `Err` names why the relation must be solved from empty instead.
+    fn resolve(
+        &mut self,
+        program: &Program,
+        table: &ClassTable,
+        mut tainted: BTreeSet<MethodRef>,
+        old_shapes: &BTreeMap<MethodRef, MethodShape>,
+        old_uncalled: &BTreeSet<MethodRef>,
+    ) -> Result<DeltaOutcome, ResetCause> {
+        let mut retracted = 0u64;
+        if !tainted.is_empty() {
+            let edges = TaintEdges::build(
+                old_shapes,
+                &self.shapes,
+                old_uncalled,
+                &self.uncalled,
+                table,
+            );
+            let mut fields: BTreeSet<String> = BTreeSet::new();
+            let stale = self.stale_summaries(program, table);
+            if !stale.is_empty() {
+                let r = self.pt.retract_summaries(&stale);
+                retracted += r.facts_removed;
+                tainted.extend(r.implicated_methods);
+                fields.extend(r.implicated_fields);
             }
-            for f in r.implicated_fields {
-                grew |= fields.insert(f);
+            // Closure, retraction, and the prune-feedback loop:
+            // retraction reports surviving sets that lost an object,
+            // whose owners must also re-derive.
+            loop {
+                edges.close(&mut tainted, &mut fields);
+                let r = self.pt.retract_methods(&tainted);
+                retracted += r.facts_removed;
+                retracted += self.pt.retract_fields(&fields);
+                let mut grew = false;
+                for m in r.implicated_methods {
+                    grew |= tainted.insert(m);
+                }
+                for f in r.implicated_fields {
+                    grew |= fields.insert(f);
+                }
+                if !grew {
+                    break;
+                }
             }
-            if !grew {
-                break;
-            }
         }
-        if !cached.pt.rebase(program, table) {
-            return None;
+        let sites = pointsto::collect_sites(program, table);
+        if !self.pt.rebase(&sites) {
+            return Err(ResetCause::SiteVanished);
         }
-        let baseline = cached.pt.fact_pairs();
-        if !cached.pt.delta_solve(program, table, &tainted, uncalled) {
-            return None;
+        if tainted.is_empty() {
+            return Ok(DeltaOutcome {
+                path: DeltaPath::Rebase,
+                retracted: 0,
+                added: 0,
+            });
         }
-        Some(DeltaOutcome {
+        let baseline = self.pt.fact_pairs();
+        if !self
+            .pt
+            .solve(program, table, &sites, Some(&tainted), &self.uncalled)
+        {
+            return Err(ResetCause::Diverged);
+        }
+        Ok(DeltaOutcome {
             path: DeltaPath::Delta,
             retracted,
-            added: cached.pt.fact_pairs() - baseline,
-            tainted: tainted.len() as u64,
+            added: self.pt.fact_pairs() - baseline,
         })
     }
 }
 
 /// Reverse indexes over the old and new shape maps, used to close the
 /// taint set.
-struct TaintEdges {
+struct TaintEdges<'a> {
     /// Callee → callers (both revisions).
     callers: BTreeMap<MethodRef, BTreeSet<MethodRef>>,
     /// Field name → methods touching it (both revisions).
@@ -443,46 +398,45 @@ struct TaintEdges {
     /// Uncalled methods of either revision, with their parameter
     /// classes.
     ext_params: Vec<(MethodRef, BTreeSet<String>)>,
-    /// Merged shapes: old ∪ new (new wins; removed methods keep their
-    /// old shape so their edges still fire).
+    /// Old ∪ new shape of each changed method (a removed method keeps
+    /// its old shape so its edges still fire).
     merged: BTreeMap<MethodRef, MethodShape>,
+    /// The new shapes; every method not in `merged` has the same shape
+    /// in both revisions.
+    new: &'a BTreeMap<MethodRef, MethodShape>,
     /// `(allocated class, superclass)` pairs, precomputed from the
     /// class table.
     supers: BTreeMap<String, BTreeSet<String>>,
 }
 
-impl TaintEdges {
+impl<'a> TaintEdges<'a> {
+    /// `old` holds the previous shapes of the changed methods only;
+    /// the others are equal in both revisions.
     fn build(
         old: &BTreeMap<MethodRef, MethodShape>,
-        new: &BTreeMap<MethodRef, MethodShape>,
+        new: &'a BTreeMap<MethodRef, MethodShape>,
         old_uncalled: &BTreeSet<MethodRef>,
         new_uncalled: &BTreeSet<MethodRef>,
         table: &ClassTable,
-    ) -> TaintEdges {
+    ) -> TaintEdges<'a> {
         let mut merged: BTreeMap<MethodRef, MethodShape> = old.clone();
-        for (m, s) in new {
-            match merged.get_mut(m) {
-                // A method present in both revisions closes over the
-                // UNION of its old and new facts: an edit that removes
-                // a call or field access must still taint the old
-                // callee / field, whose derived facts the edit
-                // invalidates.
-                Some(o) => {
-                    o.callees.extend(s.callees.iter().cloned());
-                    o.fields.extend(s.fields.iter().cloned());
-                    o.alloc_classes.extend(s.alloc_classes.iter().cloned());
-                    o.param_classes.extend(s.param_classes.iter().cloned());
-                }
-                None => {
-                    merged.insert(m.clone(), s.clone());
-                }
+        for (m, o) in merged.iter_mut() {
+            // A method present in both revisions closes over the UNION
+            // of its old and new facts: an edit that removes a call or
+            // field access must still taint the old callee / field,
+            // whose derived facts the edit invalidates.
+            if let Some(s) = new.get(m) {
+                o.callees.extend(s.callees.iter().cloned());
+                o.fields.extend(s.fields.iter().cloned());
+                o.alloc_classes.extend(s.alloc_classes.iter().cloned());
+                o.param_classes.extend(s.param_classes.iter().cloned());
             }
         }
         let mut callers: BTreeMap<MethodRef, BTreeSet<MethodRef>> = BTreeMap::new();
         let mut touchers: BTreeMap<String, BTreeSet<MethodRef>> = BTreeMap::new();
         let mut by_class: BTreeMap<String, BTreeSet<MethodRef>> = BTreeMap::new();
         let mut classes: BTreeSet<String> = BTreeSet::new();
-        for (m, s) in old.iter().chain(new.iter()) {
+        for (m, s) in new.iter().chain(old.iter()) {
             for c in &s.callees {
                 callers.entry(c.clone()).or_default().insert(m.clone());
             }
@@ -504,10 +458,11 @@ impl TaintEdges {
                 .collect();
             supers.insert(alloc.clone(), ups);
         }
+        let shape = |m| merged.get(m).or_else(|| new.get(m));
         let ext_params = old_uncalled
             .union(new_uncalled)
             .filter_map(|m| {
-                let params = merged.get(m)?.param_classes.clone();
+                let params = shape(m)?.param_classes.clone();
                 (!params.is_empty()).then_some((m.clone(), params))
             })
             .collect();
@@ -517,8 +472,14 @@ impl TaintEdges {
             by_class,
             ext_params,
             merged,
+            new,
             supers,
         }
+    }
+
+    /// The shape `m`'s edges close over.
+    fn shape(&self, m: &MethodRef) -> Option<&MethodShape> {
+        self.merged.get(m).or_else(|| self.new.get(m))
     }
 
     /// Grows `tainted` (and the set of heap `fields` to clear) to a
@@ -532,7 +493,7 @@ impl TaintEdges {
             let before = (tainted.len(), fields.len());
             let snapshot: Vec<MethodRef> = tainted.iter().cloned().collect();
             for m in snapshot {
-                if let Some(s) = self.merged.get(&m) {
+                if let Some(s) = self.shape(&m) {
                     tainted.extend(s.callees.iter().cloned());
                     fields.extend(s.fields.iter().cloned());
                     for alloc in &s.alloc_classes {
@@ -566,46 +527,31 @@ impl TaintEdges {
     }
 }
 
-/// The summary-object classes a cold solve of this revision would
-/// create: classes with no in-program allocation site, plus
-/// (non-builtin) parameter classes of uncalled methods.
-fn expected_summaries(
+/// The shapes of `changed` in `program`: `None` for a method that no
+/// longer exists, and for a constructor the class neither declares nor
+/// needs (a synthetic constructor's shape is its class's field
+/// initializers).
+fn shapes_of(
     program: &Program,
     table: &ClassTable,
-    site_classes: &BTreeSet<String>,
-    shapes: &BTreeMap<MethodRef, MethodShape>,
-    uncalled: &BTreeSet<MethodRef>,
-) -> BTreeSet<String> {
-    let mut out: BTreeSet<String> = program
-        .classes
-        .iter()
-        .filter(|c| !site_classes.iter().any(|s| table.is_subclass_of(s, &c.name)))
-        .map(|c| c.name.clone())
-        .collect();
-    for m in uncalled {
-        if let Some(s) = shapes.get(m) {
-            for cn in &s.param_classes {
-                if !table.class(cn).is_some_and(|c| c.is_builtin) {
-                    out.insert(cn.clone());
-                }
-            }
+    changed: BTreeSet<MethodRef>,
+) -> BTreeMap<MethodRef, Option<MethodShape>> {
+    let mut out: BTreeMap<MethodRef, Option<MethodShape>> =
+        changed.into_iter().map(|m| (m, None)).collect();
+    for (_, decl, mref) in crate::each_method(program) {
+        if let Some(slot) = out.get_mut(&mref) {
+            *slot = Some(shape_of_method(program, table, decl, &mref));
         }
     }
-    out
-}
-
-/// Extracts the constraint shape of every method (constructors absorb
-/// their class's field initializers).
-fn extract_shapes(program: &Program, table: &ClassTable) -> BTreeMap<MethodRef, MethodShape> {
-    let mut out: BTreeMap<MethodRef, MethodShape> = BTreeMap::new();
-    for (_, decl, mref) in crate::each_method(program) {
-        let sh = shape_of_method(program, table, decl, &mref);
-        out.insert(mref, sh);
-    }
     for class in &program.classes {
-        if let Some((inits_fp, extra)) = init_shape(class, program, table) {
-            let entry = out.entry(MethodRef::ctor(&class.name)).or_default();
-            merge_inits(entry, inits_fp, extra);
+        if let Some(slot) = out.get_mut(&MethodRef::ctor(&class.name)) {
+            if let Some((inits_fp, extra)) = init_shape(class, program, table) {
+                merge_inits(
+                    slot.get_or_insert_with(MethodShape::default),
+                    inits_fp,
+                    extra,
+                );
+            }
         }
     }
     out
@@ -679,8 +625,9 @@ fn merge_inits(entry: &mut MethodShape, inits_fp: Fp, extra: MethodShape) {
 }
 
 /// Recovers the allocation-site class set and the uncalled set from a
-/// shape map, without re-walking any method body. Equivalent to
-/// [`pointsto::site_classes`] / [`pointsto::uncalled_methods`]: shape
+/// shape map, without re-walking any method body. Equivalent to the
+/// classes of [`pointsto::collect_sites`] and to
+/// [`pointsto::uncalled_methods`]: shape
 /// extraction records the classes of exactly the sites those walks
 /// visit (bodies plus field initializers), and `body_called` records
 /// exactly the body call edges the uncalled walk resolves.
@@ -923,20 +870,41 @@ mod tests {
     use super::*;
     use crate::frontend;
 
+    /// Extracts the constraint shape of every method (constructors absorb
+    /// their class's field initializers) by walking the whole program: the
+    /// reference the cached, incrementally extracted shapes must equal.
+    fn extract_shapes(program: &Program, table: &ClassTable) -> BTreeMap<MethodRef, MethodShape> {
+        let mut out: BTreeMap<MethodRef, MethodShape> = BTreeMap::new();
+        for (_, decl, mref) in crate::each_method(program) {
+            let sh = shape_of_method(program, table, decl, &mref);
+            out.insert(mref, sh);
+        }
+        for class in &program.classes {
+            if let Some((inits_fp, extra)) = init_shape(class, program, table) {
+                let entry = out.entry(MethodRef::ctor(&class.name)).or_default();
+                merge_inits(entry, inits_fp, extra);
+            }
+        }
+        out
+    }
+
     fn check_delta(src_a: &str, src_b: &str) -> (DeltaOutcome, PointsTo, PointsTo) {
         let (p1, t1) = frontend(src_a).unwrap();
         let (p2, t2) = frontend(src_b).unwrap();
         let ix1 = ProgramIndex::build(&p1, &t1);
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
-        let (_, first) = cache.update(&p1, &t1, pointsto::DEFAULT_K, Some(&ix1));
-        assert_eq!(first.path, DeltaPath::Cold);
-        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, Some(&ix2));
+        let (_, first) = cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
+        assert_eq!(first.path, DeltaPath::Cold(ResetCause::NoState));
+        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
         let cold = pointsto::analyze_k(&p2, &t2, pointsto::DEFAULT_K);
         assert!(
             warm.same_relation(&cold),
             "delta relation diverged from cold solve ({outcome:?})"
         );
+        if warm.converged() {
+            warm.check_post_fixpoint(&p2, &t2).unwrap();
+        }
         (outcome, warm, cold)
     }
 
@@ -1023,9 +991,22 @@ mod tests {
         let (p1, t1) = frontend(BASE).unwrap();
         let (p2, t2) = frontend(&edited).unwrap();
         let mut cache = PtCache::default();
-        cache.update(&p1, &t1, pointsto::DEFAULT_K, None);
-        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, None);
-        assert_eq!(outcome.path, DeltaPath::Cold);
+        cache.update(
+            &p1,
+            &t1,
+            pointsto::DEFAULT_K,
+            &ProgramIndex::build(&p1, &t1),
+        );
+        let (warm, outcome) = cache.update(
+            &p2,
+            &t2,
+            pointsto::DEFAULT_K,
+            &ProgramIndex::build(&p2, &t2),
+        );
+        assert_eq!(
+            outcome.path,
+            DeltaPath::Cold(ResetCause::SiteClassesChanged)
+        );
         let cold = pointsto::analyze_k(&p2, &t2, pointsto::DEFAULT_K);
         assert!(warm.same_relation(&cold));
     }
@@ -1079,10 +1060,11 @@ mod tests {
     #[test]
     fn k_change_takes_the_cold_path() {
         let (p, t) = frontend(BASE).unwrap();
+        let ix = ProgramIndex::build(&p, &t);
         let mut cache = PtCache::default();
-        cache.update(&p, &t, 1, None);
-        let (_, outcome) = cache.update(&p, &t, 0, None);
-        assert_eq!(outcome.path, DeltaPath::Cold);
+        cache.update(&p, &t, 1, &ix);
+        let (_, outcome) = cache.update(&p, &t, 0, &ix);
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::DepthChanged));
     }
 
     #[test]
@@ -1093,9 +1075,9 @@ mod tests {
         let ix1 = ProgramIndex::build(&p1, &t1);
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
-        cache.update(&p1, &t1, pointsto::DEFAULT_K, Some(&ix1));
-        let (_, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, Some(&ix2));
-        assert_ne!(outcome.path, DeltaPath::Cold);
+        cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
+        let (_, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
+        assert!(!matches!(outcome.path, DeltaPath::Cold(_)));
         // After the incremental pass the cached syntactic facts must be
         // indistinguishable from a from-scratch extraction.
         let st = cache.state.as_ref().expect("state kept");
@@ -1116,12 +1098,12 @@ mod tests {
         let ix1 = ProgramIndex::build(&p1, &t1);
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
-        cache.update(&p1, &t1, pointsto::DEFAULT_K, Some(&ix1));
-        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, Some(&ix2));
-        // The raw fingerprint changed (so the fast path is off) but
-        // the constant-blind shapes did not: the identical branch must
-        // rebase without touching the shape map, and the key map must
-        // absorb the new fingerprint so the next no-op run fast-paths.
+        cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
+        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
+        // The raw fingerprint changed but the constant-blind shapes did
+        // not: nothing is tainted, the relation is only rebased, and the
+        // key map must absorb the new fingerprint so the next no-op run
+        // re-extracts nothing.
         assert_eq!(outcome.path, DeltaPath::Rebase);
         let st = cache.state.as_ref().expect("state kept");
         assert_eq!(st.shapes, extract_shapes(&p2, &t2));
@@ -1177,5 +1159,143 @@ mod tests {
         let demo = MethodRef::method("Main", "demo");
         assert_eq!(s1[&demo].fp, s2[&demo].fp, "constants are masked");
         assert_ne!(s1[&demo].fp, s3[&demo].fp, "structure is not");
+    }
+
+    #[test]
+    fn added_method_matches_cold() {
+        // A new method changes the class signature table: the one flow
+        // resets on that guard before any shape is compared.
+        let edited = BASE.replace(
+            "Item get() { return slot; }",
+            "Item get() { return slot; } Item fresh() { return new Item(); }",
+        );
+        let (outcome, ..) = check_delta(BASE, &edited);
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::SignatureChanged));
+    }
+
+    #[test]
+    fn removed_method_matches_cold() {
+        let with_extra = BASE.replace(
+            "Item get() { return slot; }",
+            "Item get() { return slot; } Item peek() { return slot; }",
+        );
+        let (outcome, ..) = check_delta(&with_extra, BASE);
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::SignatureChanged));
+    }
+
+    /// A holder whose field initializers allocate; `CTOR` is replaced by
+    /// an explicit constructor or by nothing.
+    const INITS: &str = "class Item { public int v; Item() { v = 0; } }
+         class Holder {
+             private Item a = new Item();
+             private Item b = new Item();
+             CTOR
+             Item pick() { return b; }
+         }
+         class Main {
+             public int demo() {
+                 Holder h = new Holder();
+                 Item i = h.pick();
+                 Item keep = i;
+                 return 0;
+             }
+         }";
+
+    fn field_init_edit(ctor: &str) -> DeltaOutcome {
+        let base = INITS.replace("CTOR", ctor);
+        let edited = base.replace("private Item b = new Item();", "private Item b = null;");
+        let (outcome, ..) = check_delta(&base, &edited);
+        outcome
+    }
+
+    #[test]
+    fn field_initializer_edit_without_a_constructor_takes_the_delta_path() {
+        // The initializers belong to the synthetic constructor, which
+        // no method key names: the class-context change must taint it.
+        let outcome = field_init_edit("");
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        assert!(outcome.retracted > 0, "the dropped allocation's facts go");
+    }
+
+    #[test]
+    fn field_initializer_edit_with_a_constructor_takes_the_delta_path() {
+        let outcome = field_init_edit("Holder() { }");
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        assert!(outcome.retracted > 0, "the dropped allocation's facts go");
+    }
+
+    /// A method whose body copies one object through `links` locals: each
+    /// fixpoint pass moves it one step along the chain.
+    fn chain(links: usize) -> String {
+        let mut body = String::from("Item x0 = new Item(); ");
+        for i in 1..=links {
+            body.push_str(&format!("Item x{i} = x{}; ", i - 1));
+        }
+        format!(
+            "class Item {{ public int v; Item() {{ v = 0; }} }}
+             class Main {{ public int demo() {{ {body}return 0; }} }}"
+        )
+    }
+
+    #[test]
+    fn an_unconverged_relation_resets_the_next_revision() {
+        let src = chain(pointsto::MAX_PASSES + 4);
+        let (p, t) = frontend(&src).unwrap();
+        let ix = ProgramIndex::build(&p, &t);
+        let mut cache = PtCache::default();
+        let (first, _) = cache.update(&p, &t, pointsto::DEFAULT_K, &ix);
+        assert!(!first.converged());
+        let (warm, outcome) = cache.update(&p, &t, pointsto::DEFAULT_K, &ix);
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::NotConverged));
+        assert!(warm.same_relation(&pointsto::analyze_k(&p, &t, pointsto::DEFAULT_K)));
+    }
+
+    #[test]
+    fn a_diverging_delta_resets_to_the_empty_relation() {
+        // The same class set and signatures, but the edit lengthens the
+        // chain past the pass cap: the restricted re-solve diverges.
+        let (outcome, warm, _) = check_delta(&chain(2), &chain(pointsto::MAX_PASSES + 4));
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::Diverged));
+        assert!(!warm.converged());
+    }
+
+    #[test]
+    fn a_rebase_reports_zero_passes_and_a_delta_only_its_own() {
+        let (p1, t1) = frontend(BASE).unwrap();
+        let tweaked = BASE.replace("v = 0;", "v = 3;");
+        let (p2, t2) = frontend(&tweaked).unwrap();
+        let structural = BASE.replace("Item keep = i;", "Item keep = b.get();");
+        let (p3, t3) = frontend(&structural).unwrap();
+        let mut cache = PtCache::default();
+        let (cold, _) = cache.update(
+            &p1,
+            &t1,
+            pointsto::DEFAULT_K,
+            &ProgramIndex::build(&p1, &t1),
+        );
+        assert_eq!(
+            cold.passes(),
+            pointsto::analyze_k(&p1, &t1, pointsto::DEFAULT_K).passes()
+        );
+        let (rebased, outcome) = cache.update(
+            &p2,
+            &t2,
+            pointsto::DEFAULT_K,
+            &ProgramIndex::build(&p2, &t2),
+        );
+        assert_eq!(outcome.path, DeltaPath::Rebase);
+        assert_eq!(rebased.passes(), 0);
+        let (delta, outcome) = cache.update(
+            &p3,
+            &t3,
+            pointsto::DEFAULT_K,
+            &ProgramIndex::build(&p3, &t3),
+        );
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        assert!(
+            (1..=cold.passes()).contains(&delta.passes()),
+            "{}",
+            delta.passes()
+        );
     }
 }

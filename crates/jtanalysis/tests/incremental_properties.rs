@@ -5,7 +5,9 @@
 //! results identical to a cold batch run of the same revision — the
 //! same points-to relation, the same race report, the same R13/R14
 //! findings, and the same proof-carrying evidence, all of which must
-//! still re-verify against the edited source.
+//! still re-verify against the edited source. The warm points-to
+//! relation must also pass its own certificate check
+//! ([`jtanalysis::pointsto::PointsTo::check_post_fixpoint`]).
 
 use jtanalysis::db::AnalysisDb;
 use jtanalysis::flow::FlowReport;
@@ -77,6 +79,9 @@ fn assert_equivalent(warm: &FlowReport, batch: &FlowReport, p: &Program, t: &Cla
         warm.summary.pointsto.same_relation(&batch.summary.pointsto),
         "points-to relations diverged"
     );
+    if let Err(e) = warm.summary.pointsto.check_post_fixpoint(p, t) {
+        panic!("warm points-to relation is not a post-fixpoint: {e}");
+    }
     assert_eq!(warm.races, batch.races, "race report diverged");
     assert_eq!(
         warm.summary.impure_blocks, batch.summary.impure_blocks,

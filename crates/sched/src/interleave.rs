@@ -182,7 +182,7 @@ pub fn explore(program: &Program, config: Explore) -> OutcomeSet {
 }
 
 /// Like [`explore`], but also publishes `sched.interleave.*` metrics
-/// (see [`SchedObs`]) into `registry`. Identical to [`explore`] when
+/// (see `SchedObs`) into `registry`. Identical to [`explore`] when
 /// the `telemetry` feature is off.
 pub fn explore_with_registry(
     program: &Program,
