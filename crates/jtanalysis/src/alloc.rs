@@ -40,8 +40,8 @@ pub struct AllocSite {
     pub span: Span,
     /// What is allocated.
     pub kind: AllocKind,
-    /// Method containing the site (field initializers are attributed to a
-    /// synthetic `<fields>` constructor reference of their class).
+    /// Method containing the site (field initializers are attributed to
+    /// their class's arity-0 constructor, declared or synthetic).
     pub method: MethodRef,
     /// True when the site is reachable from a constructor or field
     /// initializer.
@@ -86,7 +86,11 @@ pub fn analyze_with_graph(
     let ctor_roots: Vec<MethodRef> = program
         .classes
         .iter()
-        .flat_map(|c| c.ctors.iter().map(|_| MethodRef::ctor(&c.name)))
+        .flat_map(|c| {
+            c.ctors
+                .iter()
+                .map(|d| MethodRef::ctor(&c.name, d.params.len()))
+        })
         .collect();
     let init_methods = graph.reachable_from(ctor_roots.iter());
 
@@ -108,7 +112,7 @@ pub fn analyze_with_graph(
             if let Some(init) = &field.init {
                 collect_sites(
                     init,
-                    &MethodRef::ctor(&class.name),
+                    &MethodRef::ctor(&class.name, 0),
                     true,
                     false,
                     &mut sites,
@@ -118,7 +122,7 @@ pub fn analyze_with_graph(
         for (decl, mref) in class
             .ctors
             .iter()
-            .map(|c| (c, MethodRef::ctor(&class.name)))
+            .map(|c| (c, MethodRef::ctor(&class.name, c.params.len())))
             .chain(
                 class
                     .methods

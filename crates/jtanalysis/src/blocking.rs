@@ -27,47 +27,35 @@ pub struct BlockingCall {
 /// Finds every blocking call in `program`.
 pub fn analyze(program: &Program, table: &ClassTable) -> Vec<BlockingCall> {
     let mut calls = Vec::new();
-    for class in &program.classes {
-        for (decl, mref) in class
-            .ctors
-            .iter()
-            .map(|c| (c, MethodRef::ctor(&class.name)))
-            .chain(
-                class
-                    .methods
-                    .iter()
-                    .map(|m| (m, MethodRef::method(&class.name, &m.name))),
-            )
-        {
-            walk_exprs(&decl.body, &mut |e| {
-                let ExprKind::Call {
-                    receiver, method, ..
-                } = &e.kind
-                else {
-                    return;
-                };
-                if !BLOCKING_METHODS.contains(&method.as_str()) {
-                    return;
+    for (class, decl, mref) in crate::each_method(program) {
+        walk_exprs(&decl.body, &mut |e| {
+            let ExprKind::Call {
+                receiver, method, ..
+            } = &e.kind
+            else {
+                return;
+            };
+            if !BLOCKING_METHODS.contains(&method.as_str()) {
+                return;
+            }
+            let recv_class = match receiver {
+                None => Some(class.name.clone()),
+                Some(r) => match type_of_expr(table, class, Some(decl), r) {
+                    Ok(Type::Class(c)) => Some(c),
+                    _ => None,
+                },
+            };
+            let Some(recv_class) = recv_class else { return };
+            if let Some((owner, sig)) = table.method_of(&recv_class, method) {
+                if sig.is_builtin {
+                    calls.push(BlockingCall {
+                        method: mref.clone(),
+                        callee: format!("{owner}.{method}"),
+                        span: e.span,
+                    });
                 }
-                let recv_class = match receiver {
-                    None => Some(class.name.clone()),
-                    Some(r) => match type_of_expr(program, table, &class.name, &decl.name, r) {
-                        Ok(Type::Class(c)) => Some(c),
-                        _ => None,
-                    },
-                };
-                let Some(recv_class) = recv_class else { return };
-                if let Some((owner, sig)) = table.method_of(&recv_class, method) {
-                    if sig.is_builtin {
-                        calls.push(BlockingCall {
-                            method: mref.clone(),
-                            callee: format!("{owner}.{method}"),
-                            span: e.span,
-                        });
-                    }
-                }
-            });
-        }
+            }
+        });
     }
     calls
 }

@@ -62,40 +62,18 @@ pub fn instruction_bounds_seeded(
     let mut memo: BTreeMap<MethodRef, Option<u64>> = seed;
     let mut in_progress: Vec<MethodRef> = Vec::new();
     let mut bounds = BTreeMap::new();
-    for class in &program.classes {
-        for mref in class
-            .ctors
-            .iter()
-            .map(|_| MethodRef::ctor(&class.name))
-            .chain(
-                class
-                    .methods
-                    .iter()
-                    .map(|m| MethodRef::method(&class.name, &m.name)),
-            )
-        {
-            let b = method_bound(
-                program,
-                table,
-                &mref,
-                proved_loop_bounds,
-                &mut memo,
-                &mut in_progress,
-            );
-            bounds.insert(mref, b);
-        }
+    for (_, _, mref) in crate::each_method(program) {
+        let b = method_bound(
+            program,
+            table,
+            &mref,
+            proved_loop_bounds,
+            &mut memo,
+            &mut in_progress,
+        );
+        bounds.insert(mref, b);
     }
     bounds
-}
-
-fn find_decl<'p>(program: &'p Program, mref: &MethodRef) -> Option<(&'p ClassDecl, &'p MethodDecl)> {
-    let class = program.class(&mref.class)?;
-    let decl = if mref.is_ctor {
-        class.ctors.iter().find(|c| c.name == mref.method)
-    } else {
-        class.methods.iter().find(|m| m.name == mref.method)
-    }?;
-    Some((class, decl))
 }
 
 fn method_bound(
@@ -114,7 +92,7 @@ fn method_bound(
         memo.insert(mref.clone(), None);
         return None;
     }
-    let Some((class, decl)) = find_decl(program, mref) else {
+    let Some((class, decl)) = crate::decl_of(program, mref) else {
         return Some(1); // builtin or default ctor: unit cost
     };
     in_progress.push(mref.clone());
@@ -224,7 +202,8 @@ fn stmt_cost(ctx: &mut Ctx, stmt: &Stmt) -> Option<u64> {
 
 fn expr_cost_outer(ctx: &mut Ctx, expr: &Expr) -> Option<u64> {
     let mut total: u64 = 0;
-    let mut calls: Vec<(Option<String>, String, bool)> = Vec::new();
+    // (receiver class, method or class name, constructor arity).
+    let mut calls: Vec<(Option<String>, String, Option<usize>)> = Vec::new();
     walk_expr(expr, &mut |e| {
         total = total.saturating_add(1);
         match &e.kind {
@@ -232,24 +211,23 @@ fn expr_cost_outer(ctx: &mut Ctx, expr: &Expr) -> Option<u64> {
                 receiver, method, ..
             } => {
                 let recv = receiver.as_ref().map(|r| {
-                    match type_of_expr(ctx.program, ctx.table, &ctx.class.name, &ctx.decl.name, r)
-                    {
+                    match type_of_expr(ctx.table, ctx.class, Some(ctx.decl), r) {
                         Ok(Type::Class(c)) => c,
                         _ => String::new(),
                     }
                 });
-                calls.push((recv, method.clone(), false));
+                calls.push((recv, method.clone(), None));
             }
-            ExprKind::NewObject { class, .. } => {
-                calls.push((None, class.clone(), true));
+            ExprKind::NewObject { class, args } => {
+                calls.push((None, class.clone(), Some(args.len())));
             }
             _ => {}
         }
     });
-    for (recv, name, is_ctor) in calls {
-        if is_ctor {
-            let target = MethodRef::ctor(&name);
-            if find_decl(ctx.program, &target).is_some() {
+    for (recv, name, arity) in calls {
+        if let Some(arity) = arity {
+            let target = MethodRef::ctor(&name, arity);
+            if crate::decl_of(ctx.program, &target).is_some() {
                 total = total.checked_add(nested_bound(ctx, &target)?)?;
             }
             continue;
@@ -517,7 +495,7 @@ mod tests {
         let (p, t) = frontend(jtlang::corpus::FIR_FILTER).unwrap();
         let bounds = instruction_bounds(&p, &t);
         assert!(bounds[&MethodRef::method("Fir", "run")].is_some());
-        assert!(bounds[&MethodRef::ctor("Fir")].is_some());
+        assert!(bounds[&MethodRef::ctor("Fir", 0)].is_some());
         assert_eq!(memory_bound(&p, &t, "Fir"), Some(2 + 4 + 4));
     }
 

@@ -100,33 +100,14 @@ pub fn build(program: &Program, table: &ClassTable) -> CallGraph {
     let mut edges: BTreeMap<MethodRef, BTreeSet<MethodRef>> = BTreeMap::new();
     let mut builtin_calls: BTreeMap<MethodRef, BTreeSet<String>> = BTreeMap::new();
 
-    for class in &program.classes {
-        for (decl, mref) in class
-            .ctors
-            .iter()
-            .map(|c| (c, MethodRef::ctor(&class.name)))
-            .chain(
-                class
-                    .methods
-                    .iter()
-                    .map(|m| (m, MethodRef::method(&class.name, &m.name))),
-            )
-        {
-            nodes.push(mref.clone());
-            let mut user_callees = BTreeSet::new();
-            let mut builtins = BTreeSet::new();
-            collect_calls(
-                program,
-                table,
-                class,
-                decl,
-                &mut user_callees,
-                &mut builtins,
-            );
-            edges.insert(mref.clone(), user_callees);
-            if !builtins.is_empty() {
-                builtin_calls.insert(mref, builtins);
-            }
+    for (class, decl, mref) in crate::each_method(program) {
+        nodes.push(mref.clone());
+        let mut user_callees = BTreeSet::new();
+        let mut builtins = BTreeSet::new();
+        collect_calls(table, class, decl, &mut user_callees, &mut builtins);
+        edges.insert(mref.clone(), user_callees);
+        if !builtins.is_empty() {
+            builtin_calls.insert(mref, builtins);
         }
     }
     CallGraph {
@@ -137,7 +118,6 @@ pub fn build(program: &Program, table: &ClassTable) -> CallGraph {
 }
 
 fn collect_calls(
-    program: &Program,
     table: &ClassTable,
     class: &ClassDecl,
     decl: &MethodDecl,
@@ -150,12 +130,10 @@ fn collect_calls(
         } => {
             let recv_class = match receiver {
                 None => Some(class.name.clone()),
-                Some(r) => {
-                    match type_of_expr(program, table, &class.name, &decl.name, r) {
-                        Ok(Type::Class(c)) => Some(c),
-                        _ => None,
-                    }
-                }
+                Some(r) => match type_of_expr(table, class, Some(decl), r) {
+                    Ok(Type::Class(c)) => Some(c),
+                    _ => None,
+                },
             };
             let Some(recv_class) = recv_class else { return };
             if let Some((owner, sig)) = table.method_of(&recv_class, method) {
@@ -170,12 +148,12 @@ fn collect_calls(
                 }
             }
         }
-        ExprKind::NewObject { class: c, .. }
+        ExprKind::NewObject { class: c, args }
             if table
                 .class(c)
                 .is_some_and(|info| !info.is_builtin && !info.ctors.is_empty()) =>
         {
-            user_callees.insert(MethodRef::ctor(c));
+            user_callees.insert(MethodRef::ctor(c, args.len()));
         }
         _ => {}
     });
@@ -274,7 +252,7 @@ mod tests {
     fn constructor_edges_from_new() {
         let g = graph("class A { A() {} } class B { void m() { A a = new A(); } }");
         let bm = MethodRef::method("B", "m");
-        assert!(g.callees(&bm).any(|c| c == &MethodRef::ctor("A")));
+        assert!(g.callees(&bm).any(|c| c == &MethodRef::ctor("A", 0)));
     }
 
     #[test]
@@ -322,7 +300,7 @@ mod tests {
             "class A { A() { init(); } void init() { helper(); } void helper() {}
                        void run() { helper(); } void unused() {} }",
         );
-        let from_ctor = g.reachable_from([&MethodRef::ctor("A")]);
+        let from_ctor = g.reachable_from([&MethodRef::ctor("A", 0)]);
         assert!(from_ctor.contains(&MethodRef::method("A", "init")));
         assert!(from_ctor.contains(&MethodRef::method("A", "helper")));
         assert!(!from_ctor.contains(&MethodRef::method("A", "run")));

@@ -249,7 +249,11 @@ pub fn build_all(program: &Program) -> Vec<Cfg<'_>> {
     let mut cfgs = Vec::new();
     for class in &program.classes {
         for ctor in &class.ctors {
-            cfgs.push(build(class, ctor, MethodRef::ctor(&class.name)));
+            cfgs.push(build(
+                class,
+                ctor,
+                MethodRef::ctor(&class.name, ctor.params.len()),
+            ));
         }
         for method in &class.methods {
             cfgs.push(build(class, method, MethodRef::method(&class.name, &method.name)));

@@ -673,9 +673,7 @@ impl AnalysisDb {
             h.u64(ix.sig.0);
             let in_scc: BTreeSet<&MethodRef> = scc.iter().collect();
             for m in scc {
-                h.str(&m.class);
-                h.str(&m.method);
-                h.bool(m.is_ctor);
+                h.member(m);
                 h.u64(keys.get(m).map(|(k, _)| k.0).unwrap_or_default());
             }
             let mut ext: BTreeMap<&MethodRef, Fp> = BTreeMap::new();
@@ -687,9 +685,7 @@ impl AnalysisDb {
                 }
             }
             for (c, fp) in &ext {
-                h.str(&c.class);
-                h.str(&c.method);
-                h.bool(c.is_ctor);
+                h.member(c);
                 h.u64(fp.0);
             }
             let skey = h.finish();

@@ -22,7 +22,6 @@
 //! recomputed bit-for-bit.
 
 use crate::fingerprint::{Fp, NodeMap, ProgramIndex};
-use crate::pointsto::find_decl;
 use crate::{races, summary, MethodRef};
 use jtlang::ast::Program;
 use std::collections::BTreeMap;
@@ -143,7 +142,7 @@ impl<'a> Maps<'a> {
             return ix.node_map(mref);
         }
         if !self.local.contains_key(mref) {
-            let (_, decl, _) = find_decl(program, mref)?;
+            let (_, decl) = crate::decl_of(program, mref)?;
             self.local.insert(mref.clone(), NodeMap::build(decl));
         }
         self.local.get(mref)

@@ -143,7 +143,6 @@ pub fn summarize_method(
     mref: &MethodRef,
     summaries: &BTreeMap<MethodRef, EscapeSummary>,
 ) -> EscapeSummary {
-    let _ = class;
     let params: BTreeMap<&str, usize> = decl
         .params
         .iter()
@@ -172,6 +171,8 @@ pub fn summarize_method(
             let mut eval = Evaluator {
                 program,
                 table,
+                class,
+                decl,
                 mref,
                 summaries,
                 params: &params,
@@ -252,6 +253,8 @@ pub fn summarize_method(
 struct Evaluator<'a, 'p> {
     program: &'p Program,
     table: &'a ClassTable,
+    class: &'a ClassDecl,
+    decl: &'a MethodDecl,
     mref: &'a MethodRef,
     summaries: &'a BTreeMap<MethodRef, EscapeSummary>,
     params: &'a BTreeMap<&'p str, usize>,
@@ -264,13 +267,7 @@ impl<'p> Evaluator<'_, 'p> {
     fn eval(&mut self, e: &'p Expr) -> BTreeSet<AVal> {
         // Value-typed expressions carry no references; walk them only
         // for their call-site marking effects.
-        if let Ok(ty) = jtlang::types::type_of_expr(
-            self.program,
-            self.table,
-            &self.mref.class,
-            &self.mref.method,
-            e,
-        ) {
+        if let Ok(ty) = jtlang::types::type_of_expr(self.table, self.class, Some(self.decl), e) {
             if !ty.is_reference() {
                 self.eval_structural(e);
                 return BTreeSet::new();
@@ -332,6 +329,7 @@ impl<'p> Evaluator<'_, 'p> {
                     self.program,
                     self.table,
                     self.mref,
+                    Some(self.decl),
                     receiver.as_deref(),
                     method,
                 ) {
@@ -387,7 +385,7 @@ impl<'p> Evaluator<'_, 'p> {
             ExprKind::NewObject { class, args } => {
                 let arg_vals: Vec<BTreeSet<AVal>> =
                     args.iter().map(|a| self.eval(a)).collect();
-                let ctor = MethodRef::ctor(class);
+                let ctor = MethodRef::ctor(class, args.len());
                 if let Some(cs) = self.summaries.get(&ctor) {
                     for (i, avs) in arg_vals.iter().enumerate() {
                         if cs.param_escapes.get(i).copied().unwrap_or(false) {

@@ -33,7 +33,7 @@ use crate::races::{field_events, FieldId};
 use crate::summary::{trip_frame, TripCandidate};
 use crate::{callgraph, MethodRef};
 use jtlang::ast::{
-    walk_expr, walk_exprs, walk_stmts, Expr, ExprKind, Program, Stmt, StmtKind, Type,
+    walk_expr, walk_exprs, walk_stmts, Expr, ExprKind, MethodDecl, Program, Stmt, StmtKind, Type,
 };
 use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
@@ -97,8 +97,8 @@ pub struct SiteRef {
 /// One cited field access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessRef {
-    /// Performing method, rendered `Class.method` (`Class.<init>` for
-    /// constructors).
+    /// Performing method, rendered `Class.method` (`Class.<init>/arity`
+    /// for constructors).
     pub method: String,
     /// Span of the accessing expression.
     pub span: SpanRef,
@@ -172,7 +172,7 @@ pub enum Evidence {
     LoopBound {
         /// Finding (unproved) or cleared (proved).
         verdict: Verdict,
-        /// Enclosing method, rendered `Class.method`.
+        /// Enclosing method, rendered `Class.method` or `Class.<init>/arity`.
         method: String,
         /// Span of the loop statement.
         loop_span: SpanRef,
@@ -582,16 +582,18 @@ impl Evidence {
 // Verification
 // ---------------------------------------------------------------------
 
-/// Parses a `Class.method` / `Class.<init>` rendering back into a
-/// method reference.
+/// Parses a `Class.method` / `Class.<init>/arity` rendering (the
+/// [`MethodRef`] `Display` form) back into a method reference.
 fn parse_mref(s: &str) -> Result<MethodRef, String> {
     let (class, method) = s
         .split_once('.')
         .ok_or_else(|| format!("bad method rendering `{s}`"))?;
-    if method == "<init>" {
-        Ok(MethodRef::ctor(class))
-    } else {
-        Ok(MethodRef::method(class, method))
+    match method.strip_prefix("<init>/") {
+        Some(arity) => arity
+            .parse()
+            .map(|arity| MethodRef::ctor(class, arity))
+            .map_err(|_| format!("bad constructor arity in `{s}`")),
+        None => Ok(MethodRef::method(class, method)),
     }
 }
 
@@ -626,7 +628,7 @@ fn check_site(program: &Program, table: &ClassTable, site: &SiteRef) -> Result<(
         };
     }
     let mut found = false;
-    let mut check_expr = |mref: &MethodRef, e: &Expr| {
+    let mut check_expr = |mref: &MethodRef, decl: Option<&MethodDecl>, e: &Expr| {
         if !site.span.matches(e.span) {
             return;
         }
@@ -640,6 +642,7 @@ fn check_site(program: &Program, table: &ClassTable, site: &SiteRef) -> Result<(
                     program,
                     table,
                     mref,
+                    decl,
                     receiver.as_deref(),
                     method,
                 ) {
@@ -658,13 +661,14 @@ fn check_site(program: &Program, table: &ClassTable, site: &SiteRef) -> Result<(
         }
     };
     for (_, decl, mref) in crate::each_method(program) {
-        walk_exprs(&decl.body, &mut |e| check_expr(&mref, e));
+        walk_exprs(&decl.body, &mut |e| check_expr(&mref, Some(decl), e));
     }
     for class in &program.classes {
-        let ctor = MethodRef::ctor(&class.name);
+        let ctor = MethodRef::ctor(&class.name, 0);
+        let decl = crate::decl_of(program, &ctor).map(|(_, d)| d);
         for f in &class.fields {
             if let Some(init) = &f.init {
-                walk_expr(init, &mut |e| check_expr(&ctor, e));
+                walk_expr(init, &mut |e| check_expr(&ctor, decl, e));
             }
         }
     }
@@ -687,10 +691,10 @@ fn check_access(
     access: &AccessRef,
 ) -> Result<MethodRef, String> {
     let mref = parse_mref(&access.method)?;
-    let Some((class, decl, _)) = crate::pointsto::find_decl(program, &mref) else {
+    let Some((class, decl)) = crate::decl_of(program, &mref) else {
         return Err(format!("no method `{}`", access.method));
     };
-    let hit = field_events(program, table, class, decl).into_iter().any(|ev| {
+    let hit = field_events(table, class, decl).into_iter().any(|ev| {
         ev.field == *field && ev.is_write == access.is_write && access.span.matches(ev.span)
     });
     if hit {
@@ -888,8 +892,8 @@ fn verify_loop_bound(
                 return Err("call-site derivation must carry a cleared verdict".into());
             }
             // Re-derive the loop frame from source.
-            let (_, decl, _) = crate::pointsto::find_decl(program, &mref)
-                .ok_or_else(|| format!("no method `{method}`"))?;
+            let (_, decl) =
+                crate::decl_of(program, &mref).ok_or_else(|| format!("no method `{method}`"))?;
             let mut frame: Option<TripCandidate> = None;
             walk_stmts(&decl.body, &mut |stmt: &Stmt| {
                 if stmt.id == info.id {
@@ -922,13 +926,16 @@ fn verify_loop_bound(
                             program,
                             table,
                             &caller,
+                            Some(caller_decl),
                             receiver.as_deref(),
                             m,
                         ) {
                             Some(crate::pointsto::CallTarget::User(t)) => (t, args),
                             _ => return,
                         },
-                        ExprKind::NewObject { class, args } => (MethodRef::ctor(class), args),
+                        ExprKind::NewObject { class, args } => {
+                            (MethodRef::ctor(class, args.len()), args)
+                        }
                         _ => return,
                     };
                     if target != mref {
@@ -1258,6 +1265,19 @@ mod tests {
         let text = ev.to_json().render();
         let back = Evidence::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(ev, back);
+    }
+
+    #[test]
+    fn method_renderings_parse_back() {
+        for mref in [
+            MethodRef::method("A", "m"),
+            MethodRef::ctor("A", 0),
+            MethodRef::ctor("A", 12),
+        ] {
+            assert_eq!(parse_mref(&mref.to_string()), Ok(mref));
+        }
+        assert!(parse_mref("A.<init>/x").is_err());
+        assert!(parse_mref("A").is_err());
     }
 
     #[test]

@@ -92,6 +92,14 @@ impl StructHasher {
         }
     }
 
+    /// Hashes a member's identity: class, name, and constructor arity.
+    pub fn member(&mut self, m: &crate::MethodRef) {
+        self.str(&m.class);
+        self.str(&m.method);
+        self.bool(m.is_ctor);
+        self.u64(u64::from(m.arity));
+    }
+
     /// Final digest.
     pub fn finish(&self) -> Fp {
         Fp(self.state)
@@ -694,26 +702,12 @@ impl ProgramIndex {
         self.field_lens.add(&part.len_writes);
         let old = std::mem::replace(&mut self.members[pos.class][slot], part);
         self.field_lens.remove(&old.len_writes);
-        // Of several declarations with one reference (constructors), the
-        // last in declaration order holds the entry.
-        let (list, mref) = if pos.ctor {
-            (&class.ctors, crate::MethodRef::ctor(&class.name))
+        let mref = if pos.ctor {
+            crate::MethodRef::ctor(&class.name, decl.params.len())
         } else {
-            (
-                &class.methods,
-                crate::MethodRef::method(&class.name, &decl.name),
-            )
+            crate::MethodRef::method(&class.name, &decl.name)
         };
-        let last = list[pos.index..]
-            .iter()
-            .rposition(|m| m.name == decl.name)
-            .map_or(decl, |i| &list[pos.index + i]);
-        let fp = if std::ptr::eq(last, decl) {
-            fp
-        } else {
-            method_fp(last)
-        };
-        self.methods.insert(mref, (fp, NodeMap::build(last)));
+        self.methods.insert(mref, (fp, NodeMap::build(decl)));
     }
 
     /// The cache key of a method-level query: method fingerprint
@@ -830,19 +824,20 @@ pub fn class_fp(class: &ClassDecl) -> Fp {
     h.finish()
 }
 
-/// Fingerprint-stable allocation-site id: the owning class and method
-/// plus the site's body-walk-order ordinal. Deliberately span- and
-/// node-id-free, so a points-to object keyed by it can be rebased onto
-/// any structurally identical revision (the ordinal is a function of
-/// tree shape alone). Field-initializer sites pass the pseudo-method
-/// name `"<field-init>"` to keep their ordinal namespace separate from
-/// the explicit constructor's.
-pub fn site_fp(class: &str, method: &str, is_ctor: bool, ordinal: u64) -> Fp {
+/// Fingerprint-stable allocation-site id: the owning member (class,
+/// name, and a constructor's arity) plus the site's body-walk-order
+/// ordinal. Deliberately span- and node-id-free, so a points-to object
+/// keyed by it can be rebased onto any structurally identical revision
+/// (the ordinal is a function of tree shape alone). Field-initializer
+/// sites pass the pseudo-method name `"<field-init>"` to keep their
+/// ordinal namespace separate from the explicit constructor's.
+pub fn site_fp(member: &crate::MethodRef, method: &str, ordinal: u64) -> Fp {
     let mut h = StructHasher::new();
     h.tag(0x51);
-    h.str(class);
+    h.str(&member.class);
     h.str(method);
-    h.bool(is_ctor);
+    h.bool(member.is_ctor);
+    h.u64(u64::from(member.arity));
     h.u64(ordinal);
     h.finish()
 }

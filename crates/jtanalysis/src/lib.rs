@@ -85,7 +85,12 @@ use jtlang::ast::{ClassDecl, MethodDecl, Program};
 use jtlang::resolve::ClassTable;
 use std::fmt;
 
-/// Identifies a method or constructor within a program.
+/// Identifies a method or constructor within a program. A constructor
+/// is named by its class and arity — the resolver rejects two
+/// constructors of one arity, and `new` selects by argument count — so
+/// every reference names exactly one declaration, except the arity-0
+/// constructor of a class that declares none: the synthetic one its
+/// field initializers run in.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodRef {
     /// Owning class.
@@ -94,6 +99,9 @@ pub struct MethodRef {
     pub method: String,
     /// True for constructors.
     pub is_ctor: bool,
+    /// A constructor's parameter count; 0 for methods. A `u32` fits in
+    /// the padding after `is_ctor`, so the key is no larger for it.
+    pub arity: u32,
 }
 
 impl MethodRef {
@@ -103,16 +111,19 @@ impl MethodRef {
             class: class.into(),
             method: method.into(),
             is_ctor: false,
+            arity: 0,
         }
     }
 
-    /// A reference to a constructor.
-    pub fn ctor(class: impl Into<String>) -> Self {
+    /// A reference to the constructor of `class` taking `arity`
+    /// parameters.
+    pub fn ctor(class: impl Into<String>, arity: usize) -> Self {
         let class = class.into();
         MethodRef {
             method: class.clone(),
             class,
             is_ctor: true,
+            arity: u32::try_from(arity).unwrap_or(u32::MAX),
         }
     }
 }
@@ -120,7 +131,7 @@ impl MethodRef {
 impl fmt::Display for MethodRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_ctor {
-            write!(f, "{}.<init>", self.class)
+            write!(f, "{}.<init>/{}", self.class, self.arity)
         } else {
             write!(f, "{}.{}", self.class, self.method)
         }
@@ -135,7 +146,7 @@ pub fn each_method(program: &Program) -> impl Iterator<Item = (&ClassDecl, &Meth
         class
             .ctors
             .iter()
-            .map(move |c| (class, c, MethodRef::ctor(&class.name)))
+            .map(move |c| (class, c, MethodRef::ctor(&class.name, c.params.len())))
             .chain(
                 class
                     .methods
@@ -143,6 +154,25 @@ pub fn each_method(program: &Program) -> impl Iterator<Item = (&ClassDecl, &Meth
                     .map(move |m| (class, m, MethodRef::method(&class.name, &m.name))),
             )
     })
+}
+
+/// The declaration `mref` names, with its class: the constructor of
+/// that arity or the method of that name. `None` for a builtin, and for
+/// the synthetic constructor of a class that declares none.
+pub fn decl_of<'p>(
+    program: &'p Program,
+    mref: &MethodRef,
+) -> Option<(&'p ClassDecl, &'p MethodDecl)> {
+    let class = program.class(&mref.class)?;
+    let decl = if mref.is_ctor {
+        class
+            .ctors
+            .iter()
+            .find(|c| u32::try_from(c.params.len()) == Ok(mref.arity))
+    } else {
+        class.method(&mref.method)
+    }?;
+    Some((class, decl))
 }
 
 /// Parses, resolves, and returns `(program, table)` — a convenience used
@@ -165,8 +195,27 @@ mod tests {
     #[test]
     fn method_ref_display() {
         assert_eq!(MethodRef::method("A", "m").to_string(), "A.m");
-        assert_eq!(MethodRef::ctor("A").to_string(), "A.<init>");
-        assert!(MethodRef::ctor("A").is_ctor);
+        assert_eq!(MethodRef::ctor("A", 2).to_string(), "A.<init>/2");
+        assert!(MethodRef::ctor("A", 0).is_ctor);
+    }
+
+    #[test]
+    fn decl_of_names_one_constructor_per_arity() {
+        let (p, _) = frontend(
+            "class A { int v; A() { v = 1; } A(int x) { v = x; } int get() { return v; } }",
+        )
+        .unwrap();
+        let a = &p.classes[0];
+        let ctor = |n| decl_of(&p, &MethodRef::ctor("A", n)).map(|(_, d)| d);
+        assert!(std::ptr::eq(ctor(0).unwrap(), &a.ctors[0]));
+        assert!(std::ptr::eq(ctor(1).unwrap(), &a.ctors[1]));
+        assert!(ctor(2).is_none());
+        let get = decl_of(&p, &MethodRef::method("A", "get")).unwrap().1;
+        assert!(std::ptr::eq(get, &a.methods[0]));
+        assert!(decl_of(&p, &MethodRef::method("B", "get")).is_none());
+        for (_, decl, mref) in each_method(&p) {
+            assert!(std::ptr::eq(decl_of(&p, &mref).unwrap().1, decl), "{mref}");
+        }
     }
 
     #[test]

@@ -115,20 +115,8 @@ pub fn fold_const(expr: &Expr) -> Option<i64> {
 /// Analyzes every loop in `program`.
 pub fn analyze(program: &Program) -> Vec<LoopInfo> {
     let mut loops = Vec::new();
-    for class in &program.classes {
-        for (decl, mref) in class
-            .ctors
-            .iter()
-            .map(|c| (c, MethodRef::ctor(&class.name)))
-            .chain(
-                class
-                    .methods
-                    .iter()
-                    .map(|m| (m, MethodRef::method(&class.name, &m.name))),
-            )
-        {
-            loops.extend(analyze_method(decl, &mref));
-        }
+    for (_, decl, mref) in crate::each_method(program) {
+        loops.extend(analyze_method(decl, &mref));
     }
     loops
 }

@@ -51,8 +51,7 @@
 use crate::fingerprint::{self, Fp};
 use crate::MethodRef;
 use jtlang::ast::{
-    walk_expr, walk_exprs, walk_stmts, ClassDecl, Expr, ExprKind, MethodDecl, NodeId, Program,
-    StmtKind, Type,
+    walk_expr, walk_exprs, walk_stmts, Expr, ExprKind, MethodDecl, NodeId, Program, StmtKind, Type,
 };
 use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
@@ -98,7 +97,7 @@ pub struct ObjInfo {
     pub span: Span,
     /// Method whose body creates the object; `None` for summary objects
     /// (field initializers are attributed to the declaring class's
-    /// constructor).
+    /// arity-0 constructor, declared or synthetic).
     pub method: Option<MethodRef>,
     /// Fingerprint-stable allocation-site id: hash of the owning
     /// method's name and the site's walk-order ordinal — *not* a node
@@ -144,7 +143,7 @@ pub(crate) struct Site {
     class: String,
     is_builtin: bool,
     /// Method whose body (or field initializer, attributed to the
-    /// constructor) contains the site — also the context source.
+    /// arity-0 constructor) contains the site — also the context source.
     method: MethodRef,
 }
 
@@ -344,14 +343,15 @@ impl PointsTo {
         out
     }
 
-    /// The objects `expr` may denote when evaluated inside `mref` under
-    /// receiver context `ctx`. Non-reference expressions denote the
-    /// empty set.
+    /// The objects `expr` may denote when evaluated inside `mref` (whose
+    /// declaration is `decl`) under receiver context `ctx`.
+    /// Non-reference expressions denote the empty set.
     fn eval_in(
         &self,
         program: &Program,
         table: &ClassTable,
         mref: &MethodRef,
+        decl: Option<&MethodDecl>,
         ctx: MCtx,
         expr: &Expr,
     ) -> BTreeSet<ObjId> {
@@ -378,27 +378,27 @@ impl PointsTo {
             }
             ExprKind::Field { object, name } => {
                 let mut out = BTreeSet::new();
-                for o in self.eval_in(program, table, mref, ctx, object) {
+                for o in self.eval_in(program, table, mref, decl, ctx, object) {
                     out.extend(self.field_targets(o, name));
                 }
                 out
             }
             ExprKind::Index { array, .. } => {
                 let mut out = BTreeSet::new();
-                for o in self.eval_in(program, table, mref, ctx, array) {
+                for o in self.eval_in(program, table, mref, decl, ctx, array) {
                     out.extend(self.field_targets(o, ELEMS));
                 }
                 out
             }
             ExprKind::Call {
                 receiver, method, ..
-            } => match resolve_call(program, table, mref, receiver.as_deref(), method) {
+            } => match resolve_call(program, table, mref, decl, receiver.as_deref(), method) {
                 Some(CallTarget::User(callee)) => {
                     let recv = if self.k == 0 {
                         BTreeSet::new()
                     } else {
                         match receiver.as_deref() {
-                            Some(r) => self.eval_in(program, table, mref, ctx, r),
+                            Some(r) => self.eval_in(program, table, mref, decl, ctx, r),
                             None => self.this_set(mref, ctx),
                         }
                     };
@@ -435,9 +435,10 @@ impl PointsTo {
         mref: &MethodRef,
         expr: &Expr,
     ) -> BTreeSet<ObjId> {
+        let decl = crate::decl_of(program, mref).map(|(_, d)| d);
         let mut out = BTreeSet::new();
         for ctx in self.ctxs_of(mref) {
-            out.extend(self.eval_in(program, table, mref, ctx, expr));
+            out.extend(self.eval_in(program, table, mref, decl, ctx, expr));
         }
         out
     }
@@ -674,15 +675,15 @@ impl PointsTo {
 
     /// The one propagation loop: runs the constraint fixpoint over the
     /// `active` methods (`None`: every method, including the synthetic
-    /// constructor that field initializers of a class without one are
-    /// attributed to) against a relation keyed to `program` — rebased,
-    /// or empty with its site ids set. Only active sites materialize,
-    /// only active bodies flow, and only field initializers of classes
-    /// whose constructor is active re-seed. Facts of inactive methods
-    /// are retained as-is — the caller's taint closure guarantees no
-    /// inactive method can read a changed fact. Counts its passes from
-    /// 0 in [`Self::passes`] and returns the convergence flag (false ⇒
-    /// the caller must solve from the empty relation).
+    /// arity-0 constructor that field initializers of a class without
+    /// one are attributed to) against a relation keyed to `program` —
+    /// rebased, or empty with its site ids set. Only active sites
+    /// materialize, only active bodies flow, and only field initializers
+    /// of classes whose arity-0 constructor is active re-seed. Facts of
+    /// inactive methods are retained as-is — the caller's taint closure
+    /// guarantees no inactive method can read a changed fact. Counts its
+    /// passes from 0 in [`Self::passes`] and returns the convergence
+    /// flag (false ⇒ the caller must solve from the empty relation).
     pub(crate) fn solve(
         &mut self,
         program: &Program,
@@ -795,9 +796,7 @@ impl PointsTo {
                 VarKey::Ret(m, c) => (1u8, m, c, ""),
             };
             h.tag(tag);
-            h.str(&m.class);
-            h.str(&m.method);
-            h.bool(m.is_ctor);
+            h.member(m);
             match ctx {
                 None => h.tag(0),
                 Some(o) => {
@@ -867,23 +866,29 @@ pub(crate) enum CallTarget {
 }
 
 /// Resolves a call the same way the call graph does: by the static type
-/// of the receiver (implicit receiver = the caller's own class).
+/// of the receiver (implicit receiver = the caller's own class), typed
+/// in the caller's declaration `decl` (`None`: a field initializer).
 pub(crate) fn resolve_call(
     program: &Program,
     table: &ClassTable,
     caller: &MethodRef,
+    decl: Option<&MethodDecl>,
     receiver: Option<&Expr>,
     method: &str,
 ) -> Option<CallTarget> {
+    let recv_ty;
     let recv_class = match receiver {
-        None => Some(caller.class.clone()),
-        Some(r) => match type_of_expr(program, table, &caller.class, &caller.method, r) {
-            Ok(Type::Class(c)) => Some(c),
-            _ => None,
-        },
+        None => &caller.class,
+        Some(r) => {
+            let class = program.class(&caller.class)?;
+            recv_ty = type_of_expr(table, class, decl, r).ok()?;
+            let Type::Class(c) = &recv_ty else {
+                return None;
+            };
+            c
+        }
     };
-    let recv_class = recv_class?;
-    let (owner, sig) = table.method_of(&recv_class, method)?;
+    let (owner, sig) = table.method_of(recv_class, method)?;
     if sig.is_builtin {
         Some(CallTarget::Builtin(
             format!("{owner}.{method}"),
@@ -943,16 +948,17 @@ fn collect_var_decls(decl: &MethodDecl) -> Vec<String> {
 /// name + walk-order ordinal — stable across span-only edits).
 pub(crate) fn collect_sites(program: &Program, table: &ClassTable) -> Vec<Site> {
     let mut sites = Vec::new();
-    let mut ordinals: BTreeMap<(String, String, bool), u64> = BTreeMap::new();
+    let mut ordinals: BTreeMap<(MethodRef, String), u64> = BTreeMap::new();
     let mut add = |sites: &mut Vec<Site>,
                    mref: &MethodRef,
                    ord_method: &str,
                    e: &Expr,
                    class: String,
                    is_builtin: bool| {
-        let key = (mref.class.clone(), ord_method.to_string(), mref.is_ctor);
-        let ord = ordinals.entry(key).or_insert(0);
-        let fp = fingerprint::site_fp(&mref.class, ord_method, mref.is_ctor, *ord);
+        let ord = ordinals
+            .entry((mref.clone(), ord_method.to_string()))
+            .or_insert(0);
+        let fp = fingerprint::site_fp(mref, ord_method, *ord);
         *ord += 1;
         sites.push(Site {
             fp,
@@ -963,49 +969,53 @@ pub(crate) fn collect_sites(program: &Program, table: &ClassTable) -> Vec<Site> 
             method: mref.clone(),
         });
     };
-    let mut collect_expr =
-        |sites: &mut Vec<Site>, mref: &MethodRef, ord_method: &str, e: &Expr| match &e.kind {
-            ExprKind::NewObject { class, .. } => {
-                add(sites, mref, ord_method, e, class.clone(), false);
-            }
-            ExprKind::NewArray { elem, .. } => {
-                add(
-                    sites,
-                    mref,
-                    ord_method,
-                    e,
-                    elem.clone().array_of().to_string(),
-                    false,
-                );
-            }
-            ExprKind::Call {
-                receiver, method, ..
-            } => {
-                if let Some(CallTarget::Builtin(_, Some(ty))) =
-                    resolve_call(program, table, mref, receiver.as_deref(), method)
-                {
-                    if ty.is_reference() {
-                        add(sites, mref, ord_method, e, ty.to_string(), true);
-                    }
+    let mut collect_expr = |sites: &mut Vec<Site>,
+                            mref: &MethodRef,
+                            decl: Option<&MethodDecl>,
+                            ord_method: &str,
+                            e: &Expr| match &e.kind {
+        ExprKind::NewObject { class, .. } => {
+            add(sites, mref, ord_method, e, class.clone(), false);
+        }
+        ExprKind::NewArray { elem, .. } => {
+            add(
+                sites,
+                mref,
+                ord_method,
+                e,
+                elem.clone().array_of().to_string(),
+                false,
+            );
+        }
+        ExprKind::Call {
+            receiver, method, ..
+        } => {
+            if let Some(CallTarget::Builtin(_, Some(ty))) =
+                resolve_call(program, table, mref, decl, receiver.as_deref(), method)
+            {
+                if ty.is_reference() {
+                    add(sites, mref, ord_method, e, ty.to_string(), true);
                 }
             }
-            _ => {}
-        };
+        }
+        _ => {}
+    };
     for (_, decl, mref) in crate::each_method(program) {
         let ord_method = mref.method.clone();
         walk_exprs(&decl.body, &mut |e| {
-            collect_expr(&mut sites, &mref, &ord_method, e);
+            collect_expr(&mut sites, &mref, Some(decl), &ord_method, e);
         });
     }
-    // Field initializers allocate in the (possibly synthetic) ctor; a
-    // separate ordinal namespace keeps them from colliding with the
-    // explicit constructor's own sites.
+    // Field initializers allocate in the (possibly synthetic) arity-0
+    // constructor; a separate ordinal namespace keeps them from
+    // colliding with that constructor's own sites.
     for class in &program.classes {
-        let ctor = MethodRef::ctor(&class.name);
+        let ctor = MethodRef::ctor(&class.name, 0);
+        let decl = crate::decl_of(program, &ctor).map(|(_, d)| d);
         for field in &class.fields {
             if let Some(init) = &field.init {
                 walk_expr(init, &mut |e| {
-                    collect_expr(&mut sites, &ctor, "<field-init>", e);
+                    collect_expr(&mut sites, &ctor, decl, "<field-init>", e);
                 });
             }
         }
@@ -1119,14 +1129,19 @@ pub(crate) fn uncalled_methods(program: &Program, table: &ClassTable) -> BTreeSe
             ExprKind::Call {
                 receiver, method, ..
             } => {
-                if let Some(CallTarget::User(callee)) =
-                    resolve_call(program, table, &mref, receiver.as_deref(), method)
-                {
+                if let Some(CallTarget::User(callee)) = resolve_call(
+                    program,
+                    table,
+                    &mref,
+                    Some(decl),
+                    receiver.as_deref(),
+                    method,
+                ) {
                     called.insert(callee);
                 }
             }
-            ExprKind::NewObject { class, .. } => {
-                called.insert(MethodRef::ctor(class));
+            ExprKind::NewObject { class, args } => {
+                called.insert(MethodRef::ctor(class, args.len()));
             }
             _ => {}
         });
@@ -1154,7 +1169,7 @@ fn seed_external_params(
         if active.is_some_and(|a| !a.contains(mref)) {
             continue;
         }
-        let Some((_, decl, _)) = find_decl(program, mref) else {
+        let Some((_, decl)) = crate::decl_of(program, mref) else {
             continue;
         };
         for param in &decl.params {
@@ -1201,15 +1216,20 @@ fn link_pass(
             method,
             args,
         } => {
-            if let Some(CallTarget::User(callee)) =
-                resolve_call(program, table, mref, receiver.as_deref(), method)
-            {
-                if let Some((_, target, _)) = find_decl(program, &callee) {
+            if let Some(CallTarget::User(callee)) = resolve_call(
+                program,
+                table,
+                mref,
+                Some(decl),
+                receiver.as_deref(),
+                method,
+            ) {
+                if let Some((_, target)) = crate::decl_of(program, &callee) {
                     let recvs: Vec<MCtx> = if pt.k == 0 {
                         vec![None]
                     } else {
                         let set = match receiver.as_deref() {
-                            Some(r) => pt.eval_in(program, table, mref, ctx, r),
+                            Some(r) => pt.eval_in(program, table, mref, Some(decl), ctx, r),
                             None => pt.this_set(mref, ctx),
                         };
                         if set.is_empty() {
@@ -1220,7 +1240,7 @@ fn link_pass(
                         }
                     };
                     for (param, arg) in target.params.iter().zip(args) {
-                        let vals = pt.eval_in(program, table, mref, ctx, arg);
+                        let vals = pt.eval_in(program, table, mref, Some(decl), ctx, arg);
                         if vals.is_empty() {
                             continue;
                         }
@@ -1235,8 +1255,8 @@ fn link_pass(
             }
         }
         ExprKind::NewObject { class, args } => {
-            let ctor = MethodRef::ctor(class);
-            if let Some((_, target, _)) = find_decl(program, &ctor) {
+            let ctor = MethodRef::ctor(class, args.len());
+            if let Some((_, target)) = crate::decl_of(program, &ctor) {
                 // The constructor's receiver is the clone this site
                 // materializes under the current context.
                 let recvs: Vec<MCtx> = if pt.k == 0 {
@@ -1245,7 +1265,7 @@ fn link_pass(
                     pt.clone_at(e.id, ctx).into_iter().map(Some).collect()
                 };
                 for (param, arg) in target.params.iter().zip(args) {
-                    let vals = pt.eval_in(program, table, mref, ctx, arg);
+                    let vals = pt.eval_in(program, table, mref, Some(decl), ctx, arg);
                     if vals.is_empty() {
                         continue;
                     }
@@ -1290,7 +1310,7 @@ fn store_pass(
             init: Some(e),
             ..
         } => {
-            let vals = pt.eval_in(program, table, mref, ctx, e);
+            let vals = pt.eval_in(program, table, mref, Some(decl), ctx, e);
             if !vals.is_empty() {
                 flows.push((
                     Dest::Var(VarKey::Local(mref.clone(), ctx, name.clone())),
@@ -1299,7 +1319,7 @@ fn store_pass(
             }
         }
         StmtKind::Assign { target, value, .. } => {
-            let vals = pt.eval_in(program, table, mref, ctx, value);
+            let vals = pt.eval_in(program, table, mref, Some(decl), ctx, value);
             if vals.is_empty() {
                 return;
             }
@@ -1319,18 +1339,18 @@ fn store_pass(
                     }
                 }
                 ExprKind::Field { object, name } => {
-                    let bases = pt.eval_in(program, table, mref, ctx, object);
+                    let bases = pt.eval_in(program, table, mref, Some(decl), ctx, object);
                     flows.push((Dest::Heap(bases, name.clone()), vals));
                 }
                 ExprKind::Index { array, .. } => {
-                    let bases = pt.eval_in(program, table, mref, ctx, array);
+                    let bases = pt.eval_in(program, table, mref, Some(decl), ctx, array);
                     flows.push((Dest::Heap(bases, ELEMS.to_string()), vals));
                 }
                 _ => {}
             }
         }
         StmtKind::Return(Some(e)) => {
-            let vals = pt.eval_in(program, table, mref, ctx, e);
+            let vals = pt.eval_in(program, table, mref, Some(decl), ctx, e);
             if !vals.is_empty() {
                 flows.push((Dest::Var(VarKey::Ret(mref.clone(), ctx)), vals));
             }
@@ -1360,9 +1380,9 @@ fn store_pass(
 }
 
 /// Flows field initializers into every instance of the declaring class,
-/// evaluated in the constructor context of that instance. With a
-/// filter, only classes whose constructor is in the set participate
-/// (the delta solver's restricted re-derivation).
+/// evaluated in the arity-0 constructor context of that instance. With
+/// a filter, only classes whose arity-0 constructor is in the set
+/// participate (the delta solver's restricted re-derivation).
 fn init_pass_for(
     program: &Program,
     table: &ClassTable,
@@ -1371,14 +1391,15 @@ fn init_pass_for(
 ) -> bool {
     let mut changed = false;
     for class in &program.classes {
-        let ctor = MethodRef::ctor(&class.name);
+        let ctor = MethodRef::ctor(&class.name, 0);
         if filter.is_some_and(|f| !f.contains(&ctor)) {
             continue;
         }
+        let decl = crate::decl_of(program, &ctor).map(|(_, d)| d);
         for field in &class.fields {
             let Some(init) = &field.init else { continue };
             if pt.k == 0 {
-                let vals = pt.eval_in(program, table, &ctor, None, init);
+                let vals = pt.eval_in(program, table, &ctor, decl, None, init);
                 if vals.is_empty() {
                     continue;
                 }
@@ -1390,7 +1411,7 @@ fn init_pass_for(
                 }
             } else {
                 for base in pt.instances_of(&class.name) {
-                    let vals = pt.eval_in(program, table, &ctor, Some(base), init);
+                    let vals = pt.eval_in(program, table, &ctor, decl, Some(base), init);
                     if vals.is_empty() {
                         continue;
                     }
@@ -1403,14 +1424,6 @@ fn init_pass_for(
         }
     }
     changed
-}
-
-/// Finds the declaration of a method reference.
-pub(crate) fn find_decl<'p>(
-    program: &'p Program,
-    mref: &MethodRef,
-) -> Option<(&'p ClassDecl, &'p MethodDecl, MethodRef)> {
-    crate::each_method(program).find(|(_, _, m)| m == mref)
 }
 
 #[cfg(test)]
@@ -1625,6 +1638,38 @@ mod tests {
         let sites0: BTreeSet<Fp> = pt0.objects().map(|o| o.site).collect();
         for o in pt1.objects() {
             assert!(sites0.contains(&o.site), "unmatched k=1 site {}", o.site);
+        }
+    }
+
+    /// A value passed to `new Holder(c)` must reach the parameter of
+    /// the one-argument constructor, not the first one declared.
+    const OVERLOADED_HOLDER: &str = "class Cell { public int v; Cell() { v = 0; } }
+         class Holder {
+             private Cell a;
+             Holder() { a = null; }
+             Holder(Cell y) { a = y; }
+         }
+         class Main {
+             public int demo() {
+                 Cell c = new Cell();
+                 Holder h = new Holder(c);
+                 return 0;
+             }
+         }";
+
+    #[test]
+    fn arguments_flow_into_the_constructor_of_their_arity() {
+        let (p, t) = frontend(OVERLOADED_HOLDER).unwrap();
+        for k in [0, 1] {
+            let pt = analyze_k(&p, &t, k);
+            assert!(pt.converged());
+            let cell = pt.objects().find(|o| o.class == "Cell").unwrap().id;
+            let holder = *pt.instances_of("Holder").iter().next().unwrap();
+            assert_eq!(
+                pt.field_targets(holder, "a"),
+                BTreeSet::from([cell]),
+                "k={k}"
+            );
         }
     }
 

@@ -14,8 +14,8 @@
 //! 1. **Changed methods** — from the revision's [`ProgramIndex`]: the
 //!    methods whose key differs, methods added or removed, and every
 //!    method of a class whose context fingerprint changed (it covers
-//!    the field initializers, which the class's possibly synthetic
-//!    constructor owns). With no cached state, every method.
+//!    the field initializers, which the class's arity-0, possibly
+//!    synthetic, constructor owns). With no cached state, every method.
 //! 2. **Shapes** — only the changed shapes are re-extracted; the
 //!    allocation-site classes and the uncalled set are folded out of
 //!    the shape map instead of re-walking every body.
@@ -264,8 +264,8 @@ impl PtCache {
 impl CachedPt {
     /// The methods whose constraint shape may differ in the revision
     /// `ix` indexes: key changed, added or removed, or of a class whose
-    /// context changed — including its constructor, which owns the
-    /// field initializers even when the class declares none.
+    /// context changed — including its arity-0 constructor, which owns
+    /// the field initializers even when the class declares none.
     fn changed_methods(&self, ix: &ProgramIndex) -> BTreeSet<MethodRef> {
         let ctx_changed = |c: &String| ix.class_ctx.get(c) != self.class_ctx.get(c);
         let ctors = ix.class_ctx.keys().chain(self.class_ctx.keys());
@@ -276,7 +276,11 @@ impl CachedPt {
                 ix.methods.get(*m).map(|(fp, _)| fp) != self.mkeys.get(*m) || ctx_changed(&m.class)
             })
             .cloned()
-            .chain(ctors.filter(|c| ctx_changed(c)).map(MethodRef::ctor))
+            .chain(
+                ctors
+                    .filter(|c| ctx_changed(c))
+                    .map(|c| MethodRef::ctor(c, 0)),
+            )
             .collect()
     }
 
@@ -544,7 +548,7 @@ fn shapes_of(
         }
     }
     for class in &program.classes {
-        if let Some(slot) = out.get_mut(&MethodRef::ctor(&class.name)) {
+        if let Some(slot) = out.get_mut(&MethodRef::ctor(&class.name, 0)) {
             if let Some((inits_fp, extra)) = init_shape(class, program, table) {
                 merge_inits(
                     slot.get_or_insert_with(MethodShape::default),
@@ -566,9 +570,7 @@ fn shape_of_method(
 ) -> MethodShape {
     let mut sh = MethodShape::default();
     let mut h = StructHasher::new();
-    h.str(&mref.class);
-    h.str(&mref.method);
-    h.bool(mref.is_ctor);
+    h.member(mref);
     let mut locals: BTreeSet<&str> = BTreeSet::new();
     for p in &decl.params {
         h.str(&p.name);
@@ -583,7 +585,14 @@ fn shape_of_method(
             locals.insert(name);
         }
     });
-    blind_block(&decl.body, program, table, mref, &locals, &mut h, &mut sh);
+    let cx = Scope {
+        program,
+        table,
+        mref,
+        decl: Some(decl),
+        locals: &locals,
+    };
+    blind_block(&decl.body, &cx, &mut h, &mut sh);
     sh.fp = h.finish();
     sh.body_called = sh.callees.clone();
     sh
@@ -591,7 +600,7 @@ fn shape_of_method(
 
 /// The shape contribution of one class's field initializers (`None`
 /// when it has none). The fingerprint and facts are merged into the
-/// class's constructor entry by [`merge_inits`].
+/// class's arity-0 constructor entry by [`merge_inits`].
 fn init_shape(class: &ClassDecl, program: &Program, table: &ClassTable) -> Option<(Fp, MethodShape)> {
     let inits: Vec<(&str, &Expr)> = class
         .fields
@@ -601,20 +610,26 @@ fn init_shape(class: &ClassDecl, program: &Program, table: &ClassTable) -> Optio
     if inits.is_empty() {
         return None;
     }
-    let ctor = MethodRef::ctor(&class.name);
+    let ctor = MethodRef::ctor(&class.name, 0);
+    let cx = Scope {
+        program,
+        table,
+        mref: &ctor,
+        decl: crate::decl_of(program, &ctor).map(|(_, d)| d),
+        locals: &BTreeSet::new(),
+    };
     let mut h = StructHasher::new();
     let mut extra = MethodShape::default();
-    let locals = BTreeSet::new();
     for (name, init) in inits {
         h.str(name);
         extra.fields.insert(name.to_string());
-        blind_expr(init, program, table, &ctor, &locals, &mut h, &mut extra);
+        blind_expr(init, &cx, &mut h, &mut extra);
     }
     Some((h.finish(), extra))
 }
 
 /// Folds a class's field-initializer contribution into its
-/// constructor's shape. `body_called` is deliberately left alone:
+/// arity-0 constructor's shape. `body_called` is deliberately left alone:
 /// initializer calls do not make a method "called" in
 /// [`pointsto::uncalled_methods`], which walks bodies only.
 fn merge_inits(entry: &mut MethodShape, inits_fp: Fp, extra: MethodShape) {
@@ -650,32 +665,27 @@ fn derive_sites_uncalled(
     (sites, uncalled)
 }
 
-fn blind_block(
-    block: &Block,
-    program: &Program,
-    table: &ClassTable,
-    mref: &MethodRef,
-    locals: &BTreeSet<&str>,
-    h: &mut StructHasher,
-    sh: &mut MethodShape,
-) {
+/// What a shape walk resolves calls and names against: the walked
+/// member (`decl` is `None` for a synthetic constructor's field
+/// initializers) and its parameter and local names.
+struct Scope<'a> {
+    program: &'a Program,
+    table: &'a ClassTable,
+    mref: &'a MethodRef,
+    decl: Option<&'a MethodDecl>,
+    locals: &'a BTreeSet<&'a str>,
+}
+
+fn blind_block(block: &Block, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShape) {
     h.u64(block.stmts.len() as u64);
     for stmt in &block.stmts {
-        blind_stmt(stmt, program, table, mref, locals, h, sh);
+        blind_stmt(stmt, cx, h, sh);
     }
 }
 
-fn blind_stmt(
-    stmt: &jtlang::ast::Stmt,
-    program: &Program,
-    table: &ClassTable,
-    mref: &MethodRef,
-    locals: &BTreeSet<&str>,
-    h: &mut StructHasher,
-    sh: &mut MethodShape,
-) {
+fn blind_stmt(stmt: &jtlang::ast::Stmt, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShape) {
     let e = |expr: &Expr, h: &mut StructHasher, sh: &mut MethodShape| {
-        blind_expr(expr, program, table, mref, locals, h, sh);
+        blind_expr(expr, cx, h, sh);
     };
     match &stmt.kind {
         StmtKind::VarDecl { ty, name, init } => {
@@ -693,7 +703,7 @@ fn blind_stmt(
             // An assignment to a bare non-local name or an index is a
             // field/element write.
             match &target.kind {
-                ExprKind::Var(name) if !locals.contains(name.as_str()) => {
+                ExprKind::Var(name) if !cx.locals.contains(name.as_str()) => {
                     sh.fields.insert(name.clone());
                 }
                 ExprKind::Index { .. } => {
@@ -715,20 +725,20 @@ fn blind_stmt(
         } => {
             h.tag(3);
             e(cond, h, sh);
-            blind_stmt(then_branch, program, table, mref, locals, h, sh);
+            blind_stmt(then_branch, cx, h, sh);
             if let Some(eb) = else_branch {
                 h.tag(1);
-                blind_stmt(eb, program, table, mref, locals, h, sh);
+                blind_stmt(eb, cx, h, sh);
             }
         }
         StmtKind::While { cond, body } => {
             h.tag(4);
             e(cond, h, sh);
-            blind_stmt(body, program, table, mref, locals, h, sh);
+            blind_stmt(body, cx, h, sh);
         }
         StmtKind::DoWhile { body, cond } => {
             h.tag(5);
-            blind_stmt(body, program, table, mref, locals, h, sh);
+            blind_stmt(body, cx, h, sh);
             e(cond, h, sh);
         }
         StmtKind::For {
@@ -740,7 +750,7 @@ fn blind_stmt(
             h.tag(6);
             if let Some(i) = init {
                 h.tag(1);
-                blind_stmt(i, program, table, mref, locals, h, sh);
+                blind_stmt(i, cx, h, sh);
             }
             if let Some(c) = cond {
                 h.tag(1);
@@ -748,9 +758,9 @@ fn blind_stmt(
             }
             if let Some(u) = update {
                 h.tag(1);
-                blind_stmt(u, program, table, mref, locals, h, sh);
+                blind_stmt(u, cx, h, sh);
             }
-            blind_stmt(body, program, table, mref, locals, h, sh);
+            blind_stmt(body, cx, h, sh);
         }
         StmtKind::Return(expr) => {
             h.tag(7);
@@ -763,22 +773,14 @@ fn blind_stmt(
         StmtKind::Continue => h.tag(9),
         StmtKind::Block(b) => {
             h.tag(10);
-            blind_block(b, program, table, mref, locals, h, sh);
+            blind_block(b, cx, h, sh);
         }
     }
 }
 
-fn blind_expr(
-    expr: &Expr,
-    program: &Program,
-    table: &ClassTable,
-    mref: &MethodRef,
-    locals: &BTreeSet<&str>,
-    h: &mut StructHasher,
-    sh: &mut MethodShape,
-) {
+fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShape) {
     let e = |expr: &Expr, h: &mut StructHasher, sh: &mut MethodShape| {
-        blind_expr(expr, program, table, mref, locals, h, sh);
+        blind_expr(expr, cx, h, sh);
     };
     match &expr.kind {
         // Literal values are masked: they never feed a constraint.
@@ -789,7 +791,7 @@ fn blind_expr(
         ExprKind::Var(name) => {
             h.tag(4);
             h.str(name);
-            if !locals.contains(name.as_str()) {
+            if !cx.locals.contains(name.as_str()) {
                 sh.fields.insert(name.clone());
             }
         }
@@ -827,7 +829,15 @@ fn blind_expr(
         } => {
             h.tag(10);
             h.str(method);
-            match pointsto::resolve_call(program, table, mref, receiver.as_deref(), method) {
+            let target = pointsto::resolve_call(
+                cx.program,
+                cx.table,
+                cx.mref,
+                cx.decl,
+                receiver.as_deref(),
+                method,
+            );
+            match target {
                 Some(pointsto::CallTarget::User(callee)) => {
                     sh.callees.insert(callee);
                 }
@@ -849,7 +859,7 @@ fn blind_expr(
             h.tag(11);
             h.str(class);
             sh.alloc_classes.insert(class.clone());
-            sh.callees.insert(MethodRef::ctor(class));
+            sh.callees.insert(MethodRef::ctor(class, args.len()));
             h.u64(args.len() as u64);
             for a in args {
                 e(a, h, sh);
@@ -881,7 +891,7 @@ mod tests {
         }
         for class in &program.classes {
             if let Some((inits_fp, extra)) = init_shape(class, program, table) {
-                let entry = out.entry(MethodRef::ctor(&class.name)).or_default();
+                let entry = out.entry(MethodRef::ctor(&class.name, 0)).or_default();
                 merge_inits(entry, inits_fp, extra);
             }
         }
@@ -1143,7 +1153,7 @@ mod tests {
         // Helper() is invoked only from a field initializer; the
         // uncalled walk reads bodies only, so both derivations must
         // agree it stays uncalled.
-        assert!(uncalled.contains(&MethodRef::ctor("Helper")));
+        assert!(uncalled.contains(&MethodRef::ctor("Helper", 0)));
     }
 
     #[test]
@@ -1202,9 +1212,12 @@ mod tests {
          }";
 
     fn field_init_edit(ctor: &str) -> DeltaOutcome {
-        let base = INITS.replace("CTOR", ctor);
+        field_init_edit_of(&INITS.replace("CTOR", ctor))
+    }
+
+    fn field_init_edit_of(base: &str) -> DeltaOutcome {
         let edited = base.replace("private Item b = new Item();", "private Item b = null;");
-        let (outcome, ..) = check_delta(&base, &edited);
+        let (outcome, ..) = check_delta(base, &edited);
         outcome
     }
 
@@ -1222,6 +1235,74 @@ mod tests {
         let outcome = field_init_edit("Holder() { }");
         assert_eq!(outcome.path, DeltaPath::Delta);
         assert!(outcome.retracted > 0, "the dropped allocation's facts go");
+    }
+
+    #[test]
+    fn field_initializer_edit_beside_a_one_argument_constructor_takes_the_delta_path() {
+        // The initializers belong to the synthetic arity-0 constructor,
+        // which the class does not declare.
+        let base = INITS
+            .replace("CTOR", "Holder(Item y) { }")
+            .replace("new Holder()", "new Holder(null)");
+        let outcome = field_init_edit_of(&base);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        assert!(outcome.retracted > 0, "the dropped allocation's facts go");
+    }
+
+    /// `Holder` with a second, one-argument constructor; `NEW` is the
+    /// allocation `Main.demo` makes.
+    const OVERLOADED: &str = "class Cell { public int v; Cell() { v = 0; } }
+         class Holder {
+             private Cell a;
+             Holder() { a = null; }
+             Holder(Cell y) { a = y; }
+         }
+         class Main {
+             public int demo() {
+                 Cell c = new Cell();
+                 Holder h = NEW;
+                 return 0;
+             }
+         }";
+
+    /// The objects `Holder.a` may hold in a relation of `OVERLOADED`:
+    /// `"Cell"` for the one `Main.demo` allocates, `"extern Cell"` for
+    /// the summary of the cells an external caller may pass.
+    fn holder_a(pt: &PointsTo) -> BTreeSet<String> {
+        let holder = *pt.instances_of("Holder").iter().next().unwrap();
+        let targets = pt.field_targets(holder, "a");
+        let name = |o: &pointsto::ObjInfo| match o.kind {
+            pointsto::ObjKind::Summary => format!("extern {}", o.class),
+            _ => o.class.clone(),
+        };
+        targets.iter().map(|&o| name(pt.object(o))).collect()
+    }
+
+    #[test]
+    fn adding_a_second_constructor_flows_into_its_parameter() {
+        let base = OVERLOADED
+            .replace("Holder(Cell y) { a = y; }", "")
+            .replace("NEW", "new Holder()");
+        let edited = OVERLOADED.replace("NEW", "new Holder(c)");
+        let (outcome, warm, _) = check_delta(&base, &edited);
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::SignatureChanged));
+        assert_eq!(holder_a(&warm), BTreeSet::from(["Cell".to_string()]));
+    }
+
+    #[test]
+    fn a_call_into_the_second_constructor_takes_the_delta_path() {
+        let base = OVERLOADED.replace("NEW", "new Holder()");
+        let edited = OVERLOADED.replace("NEW", "new Holder(c)");
+        let (outcome, warm, _) = check_delta(&base, &edited);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        assert_eq!(holder_a(&warm), BTreeSet::from(["Cell".to_string()]));
+        // And back: the uncalled constructor's parameter is seeded by an
+        // external caller again.
+        let (outcome, warm, _) = check_delta(&edited, &base);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        assert!(outcome.retracted > 0);
+        let both = ["Cell".to_string(), "extern Cell".to_string()];
+        assert_eq!(holder_a(&warm), BTreeSet::from(both));
     }
 
     /// A method whose body copies one object through `links` locals: each

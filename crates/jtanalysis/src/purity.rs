@@ -109,7 +109,7 @@ pub fn summarize_method(
     let mut s = PuritySummary::default();
     // Direct field footprint, from the same event stream the race tiers
     // use (so the array-element-write rule is shared).
-    for ev in field_events(program, table, class, decl) {
+    for ev in field_events(table, class, decl) {
         if ev.is_write {
             s.writes.insert(ev.field);
         } else {
@@ -131,7 +131,14 @@ pub fn summarize_method(
     walk_exprs(&decl.body, &mut |e| match &e.kind {
         ExprKind::Call {
             receiver, method, ..
-        } => match resolve_call(program, table, mref, receiver.as_deref(), method) {
+        } => match resolve_call(
+            program,
+            table,
+            mref,
+            Some(decl),
+            receiver.as_deref(),
+            method,
+        ) {
             Some(CallTarget::User(callee)) => merge(&mut s, &callee),
             Some(CallTarget::Builtin(name, _)) => match builtin_effect(&name) {
                 Some(BuiltinEffect::PortRead) => s.port_read = true,
@@ -142,14 +149,13 @@ pub fn summarize_method(
             },
             None => {}
         },
-        ExprKind::NewObject { class: c, .. } => {
+        ExprKind::NewObject { class: c, args } => {
             s.allocates = true;
             if table
                 .class(c)
                 .is_some_and(|info| !info.is_builtin && !info.ctors.is_empty())
             {
-                let ctor = MethodRef::ctor(c);
-                merge(&mut s, &ctor);
+                merge(&mut s, &MethodRef::ctor(c, args.len()));
             }
         }
         ExprKind::NewArray { .. } => s.allocates = true,

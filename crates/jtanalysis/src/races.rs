@@ -180,7 +180,7 @@ fn compute_access_cores(
     pt: &PointsTo,
     map: &NodeMap,
 ) -> Vec<AccessCore> {
-    field_events(program, table, class, decl)
+    field_events(table, class, decl)
         .into_iter()
         .map(|ev| {
             let holders = match &ev.holder {
@@ -246,7 +246,11 @@ pub(crate) fn analyze_demand(
     let ctor_roots: Vec<MethodRef> = program
         .classes
         .iter()
-        .flat_map(|c| c.ctors.iter().map(|_| MethodRef::ctor(&c.name)))
+        .flat_map(|c| {
+            c.ctors
+                .iter()
+                .map(|d| MethodRef::ctor(&c.name, d.params.len()))
+        })
         .collect();
     let init_reach = graph.reachable_from(ctor_roots.iter());
 
@@ -373,9 +377,7 @@ fn field_group_key(
     h.u64(idxs.len() as u64);
     for &i in idxs {
         let a = &accesses[i];
-        h.str(&a.method.class);
-        h.str(&a.method.method);
-        h.bool(a.method.is_ctor);
+        h.member(&a.method);
         h.u64(a.thread_roots.len() as u64);
         for root in &a.thread_roots {
             h.str(root);
@@ -674,7 +676,6 @@ pub(crate) struct FieldEvent<'p> {
 
 /// Collects every field read/write event in one method body.
 pub(crate) fn field_events<'p>(
-    program: &'p Program,
     table: &ClassTable,
     class: &'p ClassDecl,
     decl: &'p MethodDecl,
@@ -704,7 +705,7 @@ pub(crate) fn field_events<'p>(
                 ))
             }
             ExprKind::Field { object, name } => {
-                let ty = type_of_expr(program, table, &class.name, &decl.name, object).ok()?;
+                let ty = type_of_expr(table, class, Some(decl), object).ok()?;
                 let Type::Class(cn) = ty else { return None };
                 let (owner, _) = table.field_of(&cn, name)?;
                 Some((

@@ -36,10 +36,10 @@ use crate::escape::{self, EscapeSummary};
 use crate::evidence::{AccessRef, BoundDerivation, ChainLink, Evidence, SiteRef, Verdict};
 use crate::fingerprint::{combine, Fp, NodeMap, StructHasher};
 use crate::loops::{self, fold_const, BoundStatus};
-use crate::pointsto::{self, find_decl, resolve_call, CallTarget, ObjId, PointsTo};
+use crate::pointsto::{self, resolve_call, CallTarget, ObjId, PointsTo};
 use crate::purity::{self, PuritySummary};
 use crate::races::{field_events, FieldId, HolderRef};
-use crate::{bounds, MethodRef};
+use crate::{bounds, decl_of, MethodRef};
 use jtlang::ast::{
     walk_exprs, walk_stmts, BinOp, ClassDecl, ExprKind, MethodDecl, NodeId, Program, Stmt,
     StmtKind,
@@ -211,7 +211,7 @@ pub(crate) fn compute_scc(
         stats.passes += 1;
         let mut changed = false;
         for mref in scc {
-            let Some((class, decl, _)) = find_decl(program, mref) else {
+            let Some((class, decl)) = decl_of(program, mref) else {
                 continue;
             };
             let p = purity::summarize_method(program, table, class, decl, mref, purities);
@@ -231,7 +231,7 @@ pub(crate) fn compute_scc(
             if let Some(p) = purities.get_mut(mref) {
                 p.diverged = true;
             }
-            if let Some((class, decl, _)) = find_decl(program, mref) {
+            if let Some((class, decl)) = decl_of(program, mref) {
                 escapes.insert(mref.clone(), escape::divergent_top(table, class, decl));
             }
         }
@@ -497,9 +497,7 @@ fn ownership_key(
     h.str(block);
     h.u64(reach.len() as u64);
     for mref in reach {
-        h.str(&mref.class);
-        h.str(&mref.method);
-        h.bool(mref.is_ctor);
+        h.member(mref);
         match c.ix.method_key(mref) {
             Some(k) => {
                 h.tag(1);
@@ -540,13 +538,13 @@ fn compute_ownership_core(
         {
             continue;
         }
-        let Some((class, decl, _)) = find_decl(program, mref) else {
+        let Some((class, decl)) = decl_of(program, mref) else {
             continue;
         };
         let Some(map) = maps.get(program, mref) else {
             continue;
         };
-        for ev in field_events(program, table, class, decl) {
+        for ev in field_events(table, class, decl) {
             if !ev.is_write {
                 continue;
             }
@@ -1002,9 +1000,7 @@ fn prove_call_bounds(
         h.tag(0x53);
         h.u64(candidates.len() as u64);
         for (target, cands) in &candidates {
-            h.str(&target.class);
-            h.str(&target.method);
-            h.bool(target.is_ctor);
+            h.member(target);
             h.u64(cands.len() as u64);
             for cand in cands {
                 h.u64(cand.param_index as u64);
@@ -1146,11 +1142,18 @@ fn compute_contributions(
                 receiver,
                 method,
                 args,
-            } => match resolve_call(program, table, caller, receiver.as_deref(), method) {
+            } => match resolve_call(
+                program,
+                table,
+                caller,
+                Some(decl),
+                receiver.as_deref(),
+                method,
+            ) {
                 Some(CallTarget::User(m)) => (m, args),
                 _ => return,
             },
-            ExprKind::NewObject { class, args } => (MethodRef::ctor(class), args),
+            ExprKind::NewObject { class, args } => (MethodRef::ctor(class, args.len()), args),
             _ => return,
         };
         let Some(cands) = candidates.get(&target) else {
@@ -1176,7 +1179,7 @@ fn loop_span_of(
     stmt_id: NodeId,
 ) -> crate::evidence::SpanRef {
     let mut span = Span::default();
-    if let Some((_, decl, _)) = find_decl(program, mref) {
+    if let Some((_, decl)) = decl_of(program, mref) {
         walk_stmts(&decl.body, &mut |s: &Stmt| {
             if s.id == stmt_id {
                 span = s.span;
@@ -1340,9 +1343,7 @@ fn wcet_demand(
         h.tag(0x57);
         h.u64(c.ix.sig.0);
         for m in scc {
-            h.str(&m.class);
-            h.str(&m.method);
-            h.bool(m.is_ctor);
+            h.member(m);
             match c.ix.method_key(m) {
                 Some(k) => {
                     h.tag(1);
@@ -1376,9 +1377,7 @@ fn wcet_demand(
                     continue;
                 }
                 ext += 1;
-                h.str(&callee.class);
-                h.str(&callee.method);
-                h.bool(callee.is_ctor);
+                h.member(callee);
                 match wkeys.get(callee) {
                     Some(k) => {
                         h.tag(1);
@@ -1393,9 +1392,7 @@ fn wcet_demand(
         for m in scc {
             let mut mh = StructHasher::new();
             mh.u64(skey.0);
-            mh.str(&m.class);
-            mh.str(&m.method);
-            mh.bool(m.is_ctor);
+            mh.member(m);
             wkeys.insert(m.clone(), mh.finish());
         }
     }

@@ -62,7 +62,7 @@ pub fn analyze(program: &Program, table: &ClassTable) -> Vec<ThreadUse> {
         for (decl, mref) in class
             .ctors
             .iter()
-            .map(|c| (c, MethodRef::ctor(&class.name)))
+            .map(|c| (c, MethodRef::ctor(&class.name, c.params.len())))
             .chain(
                 class
                     .methods
@@ -85,9 +85,7 @@ pub fn analyze(program: &Program, table: &ClassTable) -> Vec<ThreadUse> {
                     method,
                     ..
                 } if matches!(method.as_str(), "start" | "join" | "sleep") => {
-                    if let Ok(Type::Class(c)) =
-                        type_of_expr(program, table, &class.name, &decl.name, r)
-                    {
+                    if let Ok(Type::Class(c)) = type_of_expr(table, class, Some(decl), r) {
                         if table.is_subclass_of(&c, "Thread") {
                             uses.push(ThreadUse {
                                 kind: ThreadUseKind::LifecycleCall {

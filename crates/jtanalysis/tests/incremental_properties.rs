@@ -22,14 +22,16 @@ use proptest::prelude::*;
 /// changes `k` is constant-blind (the rebase path). Several variants
 /// allocate, store, and alias through the shared boxes so the
 /// points-to relation, the race tiers, and the R13/R14 products all
-/// have something to lose if invalidation under-approximates.
+/// have something to lose if invalidation under-approximates; one
+/// allocates through `Box`'s second constructor.
 fn body(variant: u8, k: i64) -> String {
-    match variant % 6 {
+    match variant % VARIANTS {
         0 => format!("int s = {k}; for (int i = 0; i < 5; i++) {{ s = s + i; }} return s;"),
         1 => format!("Item x = new Item(); b0.put(x); return x.v + {k};"),
         2 => format!("Item y = b0.get(); return y.v + {k};"),
         3 => format!("b1.put(b0.get()); return {k};"),
         4 => format!("int s = 0; for (int i = 0; i < n; i++) {{ s = s + {k}; }} return s;"),
+        5 => format!("Item x = new Item(); Box b = new Box(x); return b.get().v + {k};"),
         _ => format!("return {k};"),
     }
 }
@@ -47,6 +49,7 @@ fn source(bodies: &[(u8, i64)], pad: bool) -> String {
          class Box {\n\
              private Item it;\n\
              Box() { it = new Item(); }\n\
+             Box(Item seed) { it = seed; }\n\
              Item get() { return it; }\n\
              void put(Item x) { it = x; }\n\
          }\n\
@@ -117,8 +120,11 @@ fn analyze_batch(src: &str) -> FlowReport {
 
 const METHODS: usize = 6;
 
+/// The number of distinct [`body`] variants.
+const VARIANTS: u8 = 7;
+
 fn bodies_strategy() -> impl Strategy<Value = Vec<(u8, i64)>> {
-    proptest::collection::vec((0u8..6, 0i64..1000), METHODS)
+    proptest::collection::vec((0..VARIANTS, 0i64..1000), METHODS)
 }
 
 proptest! {
@@ -130,7 +136,7 @@ proptest! {
     fn one_method_edit_matches_cold_batch(
         bodies in bodies_strategy(),
         edit_at in 0usize..METHODS,
-        new_body in (0u8..6, 0i64..1000),
+        new_body in (0..VARIANTS, 0i64..1000),
         pad in any::<bool>(),
     ) {
         let base = source(&bodies, false);
@@ -152,7 +158,7 @@ proptest! {
     fn edit_sequences_never_drift(
         bodies in bodies_strategy(),
         edits in proptest::collection::vec(
-            (0usize..METHODS, (0u8..6, 0i64..1000), any::<bool>()),
+            (0usize..METHODS, (0..VARIANTS, 0i64..1000), any::<bool>()),
             1..4,
         ),
     ) {

@@ -79,6 +79,9 @@ pub enum ResolveError {
     InheritanceCycle { class: String },
     /// Two members of one class share a name.
     DuplicateMember { class: String, member: String },
+    /// Two constructors of one class take the same number of
+    /// parameters: `new` selects a constructor by arity alone.
+    DuplicateConstructor { class: String, arity: usize },
     /// A declared type names an unknown class.
     UnknownType { class: String, ty: String },
 }
@@ -97,6 +100,12 @@ impl fmt::Display for ResolveError {
             }
             ResolveError::DuplicateMember { class, member } => {
                 write!(f, "duplicate member `{member}` in class `{class}`")
+            }
+            ResolveError::DuplicateConstructor { class, arity } => {
+                write!(
+                    f,
+                    "class `{class}` declares two constructors of arity {arity}"
+                )
             }
             ResolveError::UnknownType { class, ty } => {
                 write!(f, "class `{class}` references unknown type `{ty}`")
@@ -281,7 +290,14 @@ pub fn resolve(program: &Program) -> Result<ClassTable, ResolveError> {
                 is_builtin: false,
             });
         }
+        let mut arities = std::collections::BTreeSet::new();
         for c in &class.ctors {
+            if !arities.insert(c.params.len()) {
+                return Err(ResolveError::DuplicateConstructor {
+                    class: class.name.clone(),
+                    arity: c.params.len(),
+                });
+            }
             ctors.push(MethodSig {
                 name: c.name.clone(),
                 params: c.params.iter().map(|p| p.ty.clone()).collect(),
@@ -437,6 +453,18 @@ mod tests {
             resolve(&parse("class A { int m() { return 0; } void m() {} }").unwrap()),
             Err(ResolveError::DuplicateMember { .. })
         ));
+    }
+
+    #[test]
+    fn same_arity_constructors_rejected() {
+        assert_eq!(
+            resolve(&parse("class C { C(int a) {} C(boolean b) {} }").unwrap()),
+            Err(ResolveError::DuplicateConstructor {
+                class: "C".to_string(),
+                arity: 1,
+            })
+        );
+        assert!(resolve(&parse("class C { C() {} C(int a) {} }").unwrap()).is_ok());
     }
 
     #[test]

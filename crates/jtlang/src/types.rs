@@ -67,44 +67,34 @@ pub fn check_member(
     Checker::new(table, class, member.return_type.clone()).check_method(member)
 }
 
-/// Computes the type of `expr` inside `method` of `class` — a utility for
-/// the analysis crates, which need expression types outside a full check.
+/// Computes the type of `expr` inside `member` of `class` — a utility
+/// for the analysis crates, which need expression types outside a full
+/// check. `None` is a field initializer, which sees only fields.
 ///
 /// # Errors
 ///
 /// Returns a [`TypeError`] if the expression is ill-typed in that context.
 pub fn type_of_expr(
-    program: &Program,
     table: &ClassTable,
-    class_name: &str,
-    method_name: &str,
+    class: &ClassDecl,
+    member: Option<&MethodDecl>,
     expr: &Expr,
 ) -> Result<Type, TypeError> {
-    let class = program.class(class_name).ok_or_else(|| TypeError {
-        message: format!("no class `{class_name}`"),
-        span: Span::default(),
-    })?;
-    let method = class
-        .methods
-        .iter()
-        .chain(&class.ctors)
-        .find(|m| m.name == method_name)
-        .ok_or_else(|| TypeError {
-            message: format!("no method `{method_name}` in `{class_name}`"),
-            span: Span::default(),
-        })?;
-    let mut chk = Checker::new(table, class, method.return_type.clone());
+    let mut chk = Checker::new(table, class, member.and_then(|m| m.return_type.clone()));
     chk.push_scope();
-    for p in &method.params {
-        chk.declare(&p.name, p.ty.clone());
-    }
-    // Bring every local declared anywhere in the body into scope — a
-    // flow-insensitive approximation that suffices for analysis queries.
-    walk_stmts(&method.body, &mut |s| {
-        if let StmtKind::VarDecl { ty, name, .. } = &s.kind {
-            chk.declare(name, ty.clone());
+    if let Some(member) = member {
+        for p in &member.params {
+            chk.declare(&p.name, p.ty.clone());
         }
-    });
+        // Bring every local declared anywhere in the body into scope — a
+        // flow-insensitive approximation that suffices for analysis
+        // queries.
+        walk_stmts(&member.body, &mut |s| {
+            if let StmtKind::VarDecl { ty, name, .. } = &s.kind {
+                chk.declare(name, ty.clone());
+            }
+        });
+    }
     chk.expr(expr)
 }
 
@@ -583,9 +573,35 @@ mod tests {
         let StmtKind::Return(Some(e)) = &p.classes[0].methods[0].body.stmts[0].kind else {
             panic!();
         };
-        assert_eq!(type_of_expr(&p, &t, "A", "m", e).unwrap(), Type::Int);
-        assert!(type_of_expr(&p, &t, "A", "zzz", e).is_err());
-        assert!(type_of_expr(&p, &t, "Nope", "m", e).is_err());
+        let a = &p.classes[0];
+        assert_eq!(
+            type_of_expr(&t, a, Some(&a.methods[0]), e).unwrap(),
+            Type::Int
+        );
+        // A field initializer sees the fields but no parameter.
+        assert!(type_of_expr(&t, a, None, e).is_err());
+    }
+
+    #[test]
+    fn type_of_expr_uses_the_given_constructor_scope() {
+        // Each constructor types its own locals: `v` is an `int` in the
+        // first and a `boolean` in the second.
+        let p = parse("class A { A() { int v = 1; } A(int x) { boolean v = x > 0; } }").unwrap();
+        let t = resolve(&p).unwrap();
+        let a = &p.classes[0];
+        let var = Expr {
+            id: NodeId(u32::MAX),
+            span: Span::default(),
+            kind: ExprKind::Var("v".to_string()),
+        };
+        assert_eq!(
+            type_of_expr(&t, a, Some(&a.ctors[0]), &var).unwrap(),
+            Type::Int
+        );
+        assert_eq!(
+            type_of_expr(&t, a, Some(&a.ctors[1]), &var).unwrap(),
+            Type::Boolean
+        );
     }
 
     #[test]

@@ -107,15 +107,9 @@ pub fn verify(
     let mut error: Option<ContractError> = None;
 
     for mref in &reachable {
-        let Some(decl_class) = program.class(&mref.class) else {
+        let Some((_, decl)) = jtanalysis::decl_of(program, mref) else {
             continue;
         };
-        let decl = if mref.is_ctor {
-            decl_class.ctors.iter().find(|c| c.name == mref.method)
-        } else {
-            decl_class.methods.iter().find(|m| m.name == mref.method)
-        };
-        let Some(decl) = decl else { continue };
         walk_exprs(&decl.body, &mut |e| {
             if error.is_some() {
                 return;

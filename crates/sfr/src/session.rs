@@ -341,7 +341,7 @@ impl RefinementSession {
                 let decl = pos.decl(&self.program);
                 if same_signature(&old_decl, decl) {
                     let member = if pos.ctor {
-                        MethodRef::ctor(&class.name)
+                        MethodRef::ctor(&class.name, decl.params.len())
                     } else {
                         MethodRef::method(&class.name, &decl.name)
                     };
@@ -727,7 +727,7 @@ mod tests {
         assert_eq!(
             replace(&mut s, &ctor),
             FrontendPath::Spliced {
-                members: vec![MethodRef::ctor("A")]
+                members: vec![MethodRef::ctor("A", 0)]
             }
         );
         let field = ctor.replace("private int x;", "private int x; private int y;");

@@ -115,7 +115,7 @@ pub fn extract(program: &Program, table: &ClassTable) -> Result<SchedProgram, Ex
         let mut instrs = Vec::new();
         let mut observed_regs = Vec::new();
         for stmt in &run.body.stmts {
-            translate_stmt(program, table, class, stmt, &mut instrs, &mut observed_regs)?;
+            translate_stmt(table, class, stmt, &mut instrs, &mut observed_regs)?;
         }
         sched = sched.thread(class.name.clone(), instrs);
         for reg in observed_regs {
@@ -162,17 +162,12 @@ enum Place {
     Reg(String),
 }
 
-fn classify_expr(
-    program: &Program,
-    table: &ClassTable,
-    class: &ClassDecl,
-    e: &Expr,
-) -> Option<Place> {
+fn classify_expr(table: &ClassTable, class: &ClassDecl, e: &Expr) -> Option<Place> {
     match &e.kind {
         ExprKind::Var(name) => Some(Place::Reg(name.clone())),
         ExprKind::Field { object, name } => {
-            let ty =
-                jtlang::types::type_of_expr(program, table, &class.name, "run", object).ok()?;
+            let run = class.method("run")?;
+            let ty = jtlang::types::type_of_expr(table, class, Some(run), object).ok()?;
             match ty {
                 Type::Class(c) if !table.is_subclass_of(&c, "Thread") => {
                     Some(Place::Shared(shared_name(&c, name)))
@@ -187,7 +182,6 @@ fn classify_expr(
 /// Translates an operand expression into a (prelude, source) pair: reads
 /// of shared variables are hoisted into fresh register reads.
 fn translate_source(
-    program: &Program,
     table: &ClassTable,
     class: &ClassDecl,
     e: &Expr,
@@ -197,7 +191,7 @@ fn translate_source(
     if let Some(v) = jtanalysis::loops::fold_const(e) {
         return Some(SchedSource::Const(v));
     }
-    match classify_expr(program, table, class, e)? {
+    match classify_expr(table, class, e)? {
         Place::Reg(r) => Some(SchedSource::Reg(r)),
         Place::Shared(var) => {
             let reg = format!("__t{}", *scratch);
@@ -212,7 +206,6 @@ fn translate_source(
 }
 
 fn translate_stmt(
-    program: &Program,
     table: &ClassTable,
     class: &ClassDecl,
     stmt: &Stmt,
@@ -232,7 +225,7 @@ fn translate_stmt(
             init,
         } => {
             let src = match init {
-                Some(e) => translate_source(program, table, class, e, instrs, &mut scratch)
+                Some(e) => translate_source(table, class, e, instrs, &mut scratch)
                     .ok_or_else(|| unsupported("a non-analysable initializer"))?,
                 None => SchedSource::Const(0),
             };
@@ -244,7 +237,7 @@ fn translate_stmt(
             Ok(())
         }
         StmtKind::Assign { target, op, value } => {
-            let place = classify_expr(program, table, class, target)
+            let place = classify_expr(table, class, target)
                 .ok_or_else(|| unsupported("an unrecognised assignment target"))?;
             // Right-hand side: const, register, shared read, or a single
             // addition/subtraction of such.
@@ -254,9 +247,9 @@ fn translate_stmt(
                     lhs,
                     rhs,
                 } => {
-                    let a = translate_source(program, table, class, lhs, instrs, &mut scratch)
+                    let a = translate_source(table, class, lhs, instrs, &mut scratch)
                         .ok_or_else(|| unsupported("a non-analysable operand"))?;
-                    let b = translate_source(program, table, class, rhs, instrs, &mut scratch)
+                    let b = translate_source(table, class, rhs, instrs, &mut scratch)
                         .ok_or_else(|| unsupported("a non-analysable operand"))?;
                     let b = match (bin_op, b) {
                         (BinOp::Sub, SchedSource::Const(c)) => SchedSource::Const(-c),
@@ -267,7 +260,7 @@ fn translate_stmt(
                     instrs.push(Instr::Add { reg: reg.clone(), a, b });
                     SchedSource::Reg(reg)
                 }
-                _ => translate_source(program, table, class, value, instrs, &mut scratch)
+                _ => translate_source(table, class, value, instrs, &mut scratch)
                     .ok_or_else(|| unsupported("a non-analysable right-hand side"))?,
             };
             match (place, op) {

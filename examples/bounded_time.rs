@@ -20,7 +20,15 @@ fn report(title: &str, source: &str, class: &str) -> Result<(), Box<dyn std::err
         .get(&MethodRef::method(class, "run"))
         .copied()
         .flatten();
-    let ctor_bound = bounds.get(&MethodRef::ctor(class)).copied().flatten();
+    // The designs declare one constructor each.
+    let arity = program
+        .class(class)
+        .and_then(|c| c.ctors.first())
+        .map_or(0, |c| c.params.len());
+    let ctor_bound = bounds
+        .get(&MethodRef::ctor(class, arity))
+        .copied()
+        .flatten();
     let memory = memory_bound(&program, &table, class);
     println!("{title}");
     println!(

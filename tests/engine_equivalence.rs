@@ -253,6 +253,53 @@ fn rem_assign_edge_cases_agree_across_engines() {
 }
 
 #[test]
+fn engines_agree_on_overloaded_constructors() {
+    // `new` selects a constructor by argument count on every engine.
+    let source = "class C {
+             public int v;
+             C() { v = 1; }
+             C(int a) { v = a + 100; }
+         }
+         class P extends ASR {
+             private C c0;
+             private C c1;
+             P() { c0 = new C(); c1 = new C(5); }
+             public void run() { write(0, c0.v * 1000 + c1.v + read(0)); }
+         }";
+    let r = run_all(source, &[7]);
+    assert_eq!(r.interp, Ok(vec![Some(PortDatum::Int(1112))]));
+    assert_eq!(r.interp, r.vm);
+    if let Ok(native) = r.native {
+        assert_eq!(native, r.vm);
+    }
+    // So does initializing the block itself, which the native tier
+    // lowers.
+    let source = "class P extends ASR {
+             private int v;
+             P() { v = 1; }
+             P(int a) { v = a + 100; }
+             public void run() { write(0, v + read(0)); }
+         }";
+    for (args, expect) in [(vec![], 8), (vec![5], 112)] {
+        let args: Vec<jtvm::value::RtValue> =
+            args.into_iter().map(jtvm::value::RtValue::Int).collect();
+        let program = jtlang::parse(source).unwrap();
+        let mut interp = Interpreter::new(program.clone(), "P").unwrap();
+        let mut vm = CompiledVm::new(program.clone(), "P").unwrap();
+        let mut native = NativeVm::new(program, "P").unwrap();
+        interp.initialize(&args).unwrap();
+        vm.initialize(&args).unwrap();
+        native.initialize(&args).unwrap();
+        assert_eq!(native.reject_reason(), None);
+        let ports = [PortDatum::Int(7)];
+        let out = interp.react(&ports).unwrap();
+        assert_eq!(out, vec![Some(PortDatum::Int(expect))]);
+        assert_eq!(out, vm.react(&ports).unwrap());
+        assert_eq!(out, native.react(&ports).unwrap());
+    }
+}
+
+#[test]
 fn engines_agree_on_all_corpus_reactive_samples() {
     for (source, class, ctor, inputs) in [
         (jtlang::corpus::COUNTER.to_string(), "Counter", vec![9i64], vec![4i64]),
