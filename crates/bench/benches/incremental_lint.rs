@@ -55,6 +55,28 @@ fn best_of(n: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Revisions of `base` (the corpus `cfg`) that each prepend one
+/// statement to one method: a call to the class's next method, and an
+/// allocation into the class's `int[]` field, in methods spread over
+/// the corpus.
+fn structural_edits(base: &str, cfg: &GenConfig) -> Vec<String> {
+    let per_class = cfg.methods_per_class;
+    let mut out = Vec::new();
+    for class in [0, cfg.classes / 2, cfg.classes - 1] {
+        for (method, stmt) in [
+            (0, "acc = acc + m1(n);".to_string()),
+            (per_class / 2, format!("acc = m{}(acc);", per_class - 1)),
+            (per_class - 1, "buf = new int[8];".to_string()),
+        ] {
+            let at = base.find(&format!("class G{class} {{\n")).expect("class");
+            let header = format!("    int m{method}(int n) {{\n");
+            let at = at + base[at..].find(&header).expect("method") + header.len();
+            out.push(format!("{}        {stmt}\n{}", &base[..at], &base[at..]));
+        }
+    }
+    out
+}
+
 fn main() {
     let smoke = std::env::var("JT_BENCH_SMOKE").is_ok();
     let (cfg, iters) = if smoke {
@@ -166,6 +188,27 @@ fn main() {
             edit_stats = db.last_run();
         }
     }
+    // Warm structural edits: a statement prepended to one method adds
+    // a call or an allocation, so the points-to update takes its delta
+    // path. Each edit warms a fresh database on the base corpus
+    // (untimed); the rows keep the slowest tail and the largest taint.
+    let mut struct_tail_ns = 0u64;
+    let mut struct_tainted = 0u64;
+    let mut struct_stats = jtanalysis::db::RunStats::default();
+    for edited in structural_edits(&base_src, &cfg) {
+        let (ps, ts, gs) = parse(&edited);
+        let mut db = AnalysisDb::new();
+        db.analyze(&p, &t, &g);
+        black_box(db.analyze(&ps, &ts, &gs));
+        let s = db.last_run();
+        assert_eq!(s.pointsto_misses, 0, "a structural edit reset points-to: {s:?}");
+        struct_tail_ns = struct_tail_ns.max(s.tail_ns);
+        if s.pt_tainted >= struct_tainted {
+            struct_tainted = s.pt_tainted;
+            struct_stats = s;
+        }
+    }
+
     let recompute_pct = 100.0 * edit_stats.recomputed as f64 / method_queries as f64;
     assert!(
         recompute_pct <= 5.0,
@@ -199,6 +242,10 @@ fn main() {
         "warm one edit", edit_ns, edit_stats.tail_ns, edit_stats.recomputed
     );
     println!(
+        "{:>24} {:>14} {:>14} {:>12}",
+        "warm structural edit", "-", struct_tail_ns, struct_stats.recomputed
+    );
+    println!(
         "warm re-check speedup: {speedup:.1}x; one-edit recompute fraction: {recompute_pct:.3}% \
          ({} method queries + {} SCC summaries)",
         edit_stats.recomputed, edit_stats.scc_misses
@@ -210,6 +257,13 @@ fn main() {
         edit_stats.demand_misses,
         edit_stats.pt_constraints_retracted,
         edit_stats.pt_constraints_added
+    );
+    println!(
+        "structural edit: points-to taint at most {struct_tainted} of {n_methods} methods \
+         ({} heap keys cleared, {} constraints retracted, {} added)\n",
+        struct_stats.pt_taint_fields,
+        struct_stats.pt_constraints_retracted,
+        struct_stats.pt_constraints_added
     );
 
     let row = |id: &str, value: f64, unit: &'static str| (format!("incremental_lint/{id}"), value, unit);
@@ -231,10 +285,20 @@ fn main() {
         row("one_edit_demand_misses", edit_stats.demand_misses as f64, "count"),
         row("one_edit_constraints_retracted", edit_stats.pt_constraints_retracted as f64, "count"),
         row("one_edit_constraints_added", edit_stats.pt_constraints_added as f64, "count"),
+        row("warm_struct_edit_tail", struct_tail_ns as f64, "ns"),
+        row("struct_edit_pt_tainted", struct_tainted as f64, "count"),
+        row("struct_edit_pt_taint_fields", struct_stats.pt_taint_fields as f64, "count"),
     ];
     // Record the run before the ratio contracts, so a run that breaks
     // one still leaves its numbers behind.
     bench::write_bench_json("incremental", &rows);
+
+    // The delta's taint must follow the edit, not the program: a count,
+    // so an O(program) taint fails here by itself, not by a noisy time.
+    assert!(
+        struct_tainted * 8 <= n_methods as u64,
+        "a structural edit tainted {struct_tainted} of {n_methods} methods (bound: 1/8): {struct_stats:?}"
+    );
 
     if !smoke {
         assert!(

@@ -95,6 +95,11 @@ pub struct RunStats {
     /// Points-to constraint-set members derived this run (all facts on
     /// a cold solve, the re-derived frontier on a delta).
     pub pt_constraints_added: u64,
+    /// Methods the points-to update re-derived: the delta's taint
+    /// closure, every method of a cold solve, none for a rebase.
+    pub pt_tainted: u64,
+    /// Heap keys whose slots the points-to delta cleared.
+    pub pt_taint_fields: u64,
     /// Tail demand queries (race, R13/R14, loop-proof, WCET cores)
     /// served from the memo.
     pub demand_hits: u64,
@@ -134,6 +139,8 @@ impl RunStats {
         self.pointsto_misses += other.pointsto_misses;
         self.pt_constraints_retracted += other.pt_constraints_retracted;
         self.pt_constraints_added += other.pt_constraints_added;
+        self.pt_tainted += other.pt_tainted;
+        self.pt_taint_fields += other.pt_taint_fields;
         self.demand_hits += other.demand_hits;
         self.demand_misses += other.demand_misses;
         self.tail_ns += other.tail_ns;
@@ -599,6 +606,8 @@ impl AnalysisDb {
             }
             stats.pt_constraints_retracted += outcome.retracted;
             stats.pt_constraints_added += outcome.added;
+            stats.pt_tainted += outcome.tainted;
+            stats.pt_taint_fields += outcome.taint_fields;
             let mut ctx = DemandCtx {
                 ix: &ix,
                 cond: &cond,
@@ -820,6 +829,9 @@ fn export_metrics(r: &jtobs::Registry, report: &FlowReport, stats: &RunStats, re
         .add(stats.pt_constraints_retracted);
     r.counter("jtanalysis.db.pt_constraints_added")
         .add(stats.pt_constraints_added);
+    r.counter("jtanalysis.db.pt_tainted").add(stats.pt_tainted);
+    r.counter("jtanalysis.db.pt_taint_fields")
+        .add(stats.pt_taint_fields);
     r.counter("jtanalysis.db.demand_hits").add(stats.demand_hits);
     r.counter("jtanalysis.db.demand_misses").add(stats.demand_misses);
     r.histogram("jtanalysis.time_us.tail_demand")
@@ -1143,6 +1155,8 @@ mod tests {
             pointsto_misses: 0,
             pt_constraints_retracted: 7,
             pt_constraints_added: 9,
+            pt_tainted: 3,
+            pt_taint_fields: 1,
             demand_hits: 21,
             demand_misses: 2,
             tail_ns: 123_456,

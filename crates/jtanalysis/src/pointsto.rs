@@ -57,6 +57,7 @@ use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
 use jtlang::types::type_of_expr;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Pseudo-field under which an array object's elements are stored.
 pub const ELEMS: &str = "[]";
@@ -130,8 +131,119 @@ pub(crate) struct Retraction {
     pub(crate) facts_removed: u64,
     /// Methods whose surviving variable sets lost an object.
     pub(crate) implicated_methods: BTreeSet<MethodRef>,
-    /// Field names whose surviving heap slots lost an object.
-    pub(crate) implicated_fields: BTreeSet<String>,
+    /// Keys of the surviving heap slots that lost an object.
+    pub(crate) implicated_fields: BTreeSet<HeapKey>,
+}
+
+/// A group of heap slots the delta solver clears and re-derives as
+/// one: field `field` of every instance of `owner` — the class that
+/// declares it — or, with no owner, of every object. The array
+/// pseudo-field [`ELEMS`] has no owner.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct HeapKey {
+    /// Field name, or [`ELEMS`]. Declared first, so the keys of one
+    /// name are adjacent in a sorted map.
+    pub(crate) field: String,
+    /// The declaring class; `None` matches every class.
+    pub(crate) owner: Option<String>,
+}
+
+impl HeapKey {
+    /// The slots `(o, field)` of every object `o`.
+    pub(crate) fn any(field: &str) -> HeapKey {
+        HeapKey {
+            field: field.to_string(),
+            owner: None,
+        }
+    }
+
+    /// True when slot `field` of an object of class `class` is one of
+    /// this key's slots.
+    pub(crate) fn covers(&self, table: &ClassTable, class: &str, field: &str) -> bool {
+        self.field == field
+            && self
+                .owner
+                .as_deref()
+                .is_none_or(|owner| table.is_subclass_of(class, owner))
+    }
+
+    /// True when the two keys may name one slot: the same field, and
+    /// owners on one inheritance chain (or no owner).
+    pub(crate) fn overlaps(&self, table: &ClassTable, other: &HeapKey) -> bool {
+        self.field == other.field
+            && match (&self.owner, &other.owner) {
+                (Some(a), Some(b)) => table.is_subclass_of(a, b) || table.is_subclass_of(b, a),
+                _ => true,
+            }
+    }
+}
+
+/// How heap accesses and slots map to [`HeapKey`]s.
+///
+/// *Typed* keys name a field by the class that declares it, found from
+/// the static type of the accessed object, and drop every field and
+/// array element whose type cannot hold a reference: an `int` slot
+/// never holds a points-to fact. They rely on the relation respecting
+/// static types — every object in a set is an instance of the set's
+/// declared type. Two things break that: a field hidden by a subclass
+/// field of the same name (the heap keys slots by name, so the two
+/// share a slot), and a method declaring one local name with two types
+/// (the relation has one variable per name). Then every key is
+/// *untyped* — by name alone, with no owner — as it was before typed
+/// keys.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyRule<'a> {
+    /// The class table the owners are resolved in.
+    pub(crate) table: &'a ClassTable,
+    /// Typed keys (see above); `false` keys by name.
+    pub(crate) typed: bool,
+}
+
+impl KeyRule<'_> {
+    /// The key of an access to field `field` of an object whose static
+    /// class is `class` (`None`: unknown). `None` when the field cannot
+    /// hold a reference.
+    pub(crate) fn field(&self, class: Option<&str>, field: &str) -> Option<HeapKey> {
+        if !self.typed {
+            return Some(HeapKey::any(field));
+        }
+        match class.and_then(|c| self.table.field_of(c, field)) {
+            Some((owner, sig)) => sig.ty.is_reference().then(|| HeapKey {
+                field: field.to_string(),
+                owner: Some(owner.to_string()),
+            }),
+            None => Some(HeapKey::any(field)),
+        }
+    }
+
+    /// The key of an element access to an array of static element type
+    /// `elem` (`None`: unknown). `None` when elements cannot hold a
+    /// reference.
+    pub(crate) fn elems(&self, elem: Option<&Type>) -> Option<HeapKey> {
+        let primitive = self.typed && elem.is_some_and(|t| !t.is_reference());
+        (!primitive).then(|| HeapKey::any(ELEMS))
+    }
+
+    /// The key of slot `field` of an object of class `class`.
+    pub(crate) fn slot(&self, class: &str, field: &str) -> HeapKey {
+        if field == ELEMS {
+            return HeapKey::any(ELEMS);
+        }
+        self.field(Some(class), field)
+            .unwrap_or_else(|| HeapKey::any(field))
+    }
+}
+
+/// True when some class declares a field that one of its ancestors
+/// declares too: the heap then keys two fields as one slot, and typed
+/// [`HeapKey`]s no longer bound which objects an access reaches.
+pub(crate) fn hides_fields(table: &ClassTable) -> bool {
+    table.iter().any(|c| {
+        let parent = c.superclass.as_deref();
+        c.fields
+            .iter()
+            .any(|f| parent.is_some_and(|p| table.field_of(p, &f.name).is_some()))
+    })
 }
 
 /// One allocation or builtin-result site, in body walk order.
@@ -144,7 +256,7 @@ pub(crate) struct Site {
     is_builtin: bool,
     /// Method whose body (or field initializer, attributed to the
     /// arity-0 constructor) contains the site — also the context source.
-    method: MethodRef,
+    pub(crate) method: MethodRef,
 }
 
 /// Result of [`analyze`]: the whole-program points-to relation.
@@ -166,8 +278,10 @@ pub struct PointsTo {
     /// Class name → objects that `this` may be inside that class's
     /// methods (every object instance-of the class).
     pub(crate) this_of_class: BTreeMap<String, BTreeSet<ObjId>>,
-    /// Method → names of its parameters and declared locals.
-    pub(crate) locals: BTreeMap<MethodRef, BTreeSet<String>>,
+    /// Method → names of its parameters and declared locals. Shared:
+    /// a copy of the relation for the next revision leaves it in
+    /// place, and only a changed method's entry copies it.
+    pub(crate) locals: Arc<BTreeMap<MethodRef, BTreeSet<String>>>,
     /// Reverse heap: object → objects holding a reference to it.
     pub(crate) owners: Vec<BTreeSet<ObjId>>,
     pub(crate) passes: usize,
@@ -580,28 +694,33 @@ impl PointsTo {
     /// every occurrence of those objects in surviving sets. Object ids
     /// are compacted afterwards; callers re-derive the retracted
     /// methods with [`Self::solve`].
-    pub(crate) fn retract_methods(&mut self, gone: &BTreeSet<MethodRef>) -> Retraction {
+    pub(crate) fn retract_methods(&mut self, gone: &BTreeSet<MethodRef>, keys: KeyRule) -> Retraction {
         let deleted: BTreeSet<ObjId> = self
             .objs
             .iter()
             .filter(|o| o.method.as_ref().is_some_and(|m| gone.contains(m)))
             .map(|o| o.id)
             .collect();
-        self.retract_objects(&deleted, gone)
+        self.retract_objects(&deleted, gone, keys)
     }
 
     /// Deletes the summary objects of `classes` (created on demand for
     /// parameter classes of uncalled methods — an uncalled→called flip
     /// makes them stale) and every fact mentioning them.
-    pub(crate) fn retract_summaries(&mut self, classes: &BTreeSet<String>) -> Retraction {
+    pub(crate) fn retract_summaries(&mut self, classes: &BTreeSet<String>, keys: KeyRule) -> Retraction {
         let deleted: BTreeSet<ObjId> = classes
             .iter()
             .filter_map(|c| self.summary_of_class.get(c).copied())
             .collect();
-        self.retract_objects(&deleted, &BTreeSet::new())
+        self.retract_objects(&deleted, &BTreeSet::new(), keys)
     }
 
-    fn retract_objects(&mut self, deleted: &BTreeSet<ObjId>, gone: &BTreeSet<MethodRef>) -> Retraction {
+    fn retract_objects(
+        &mut self,
+        deleted: &BTreeSet<ObjId>,
+        gone: &BTreeSet<MethodRef>,
+        keys: KeyRule,
+    ) -> Retraction {
         let mut out = Retraction::default();
         // Whole entries owned by a retracted method or keyed by a
         // deleted receiver context.
@@ -636,12 +755,13 @@ impl PointsTo {
             }
             !dead
         });
-        for ((_, field), set) in self.heap.iter_mut() {
+        for ((base, field), set) in self.heap.iter_mut() {
             let before = set.len();
             set.retain(|o| !deleted.contains(o));
             if set.len() != before {
                 out.facts_removed += (before - set.len()) as u64;
-                out.implicated_fields.insert(field.clone());
+                let class = &self.objs[base.0].class;
+                out.implicated_fields.insert(keys.slot(class, field));
             }
         }
         self.heap.retain(|_, s| !s.is_empty());
@@ -655,16 +775,24 @@ impl PointsTo {
         out
     }
 
-    /// Removes every heap fact stored under one of `fields`, returning
-    /// the member count removed. Heap facts are not attributed to the
-    /// method that derived them, so the delta solver clears all slots
-    /// of every field a tainted method touches and re-derives them
-    /// from the (transitively tainted) set of methods touching those
-    /// fields.
-    pub(crate) fn retract_fields(&mut self, fields: &BTreeSet<String>) -> u64 {
+    /// Removes every heap fact stored in a slot of one of `keys`,
+    /// returning the member count removed. Heap facts are not
+    /// attributed to the method that derived them, so the delta solver
+    /// clears every slot of every key a tainted method touches and
+    /// re-derives them from the (transitively tainted) set of methods
+    /// touching an overlapping key.
+    pub(crate) fn retract_fields(&mut self, keys: &BTreeSet<HeapKey>, table: &ClassTable) -> u64 {
+        if keys.is_empty() {
+            return 0;
+        }
         let mut removed = 0u64;
-        self.heap.retain(|(_, field), set| {
-            let dead = fields.contains(field);
+        let objs = &self.objs;
+        self.heap.retain(|(base, field), set| {
+            let class = &objs[base.0].class;
+            let dead = keys
+                .range(HeapKey::any(field)..)
+                .take_while(|k| k.field == *field)
+                .any(|k| k.covers(table, class, field));
             if dead {
                 removed += set.len() as u64;
             }
@@ -677,7 +805,8 @@ impl PointsTo {
     /// `active` methods (`None`: every method, including the synthetic
     /// arity-0 constructor that field initializers of a class without
     /// one are attributed to) against a relation keyed to `program` —
-    /// rebased, or empty with its site ids set. Only active sites
+    /// rebased, or empty with its site ids set — whose
+    /// [`Self::locals`] index is current. Only active sites
     /// materialize, only active bodies flow, and only field initializers
     /// of classes whose arity-0 constructor is active re-seed. Facts of
     /// inactive methods are retained as-is — the caller's taint closure
@@ -692,17 +821,16 @@ impl PointsTo {
         active: Option<&BTreeSet<MethodRef>>,
         uncalled: &BTreeSet<MethodRef>,
     ) -> bool {
-        self.locals.clear();
-        collect_locals(program, self);
         let sites: Vec<&Site> = sites
             .iter()
             .filter(|s| active.is_none_or(|a| a.contains(&s.method)))
             .collect();
+        let members = Members::of(program, active);
         self.passes = 0;
         self.converged = false;
         for _ in 0..MAX_PASSES {
             self.passes += 1;
-            if !self.round(program, table, &sites, active, uncalled) {
+            if !self.round(program, table, &sites, &members, active, uncalled) {
                 self.converged = true;
                 break;
             }
@@ -712,28 +840,41 @@ impl PointsTo {
         self.converged
     }
 
-    /// One round of every pass over the `active` methods: true when a
-    /// set grew or an object was created.
+    /// One round of every pass over the `active` methods, whose
+    /// declarations are `members`: true when a set grew or an object
+    /// was created.
     fn round(
         &mut self,
         program: &Program,
         table: &ClassTable,
         sites: &[&Site],
+        members: &Members,
         active: Option<&BTreeSet<MethodRef>>,
         uncalled: &BTreeSet<MethodRef>,
     ) -> bool {
-        let mut changed = materialize_pass(sites, program, table, self);
+        let mut changed = materialize_pass(sites, table, self);
         changed |= seed_external_params(program, table, uncalled, active, self);
-        for (_, decl, mref) in crate::each_method(program) {
-            if active.is_some_and(|a| !a.contains(&mref)) {
-                continue;
-            }
-            for ctx in self.ctxs_of(&mref) {
-                changed |= link_pass(program, table, self, decl, &mref, ctx);
-                changed |= store_pass(program, table, self, decl, &mref, ctx);
+        for (decl, mref) in &members.0 {
+            for ctx in self.ctxs_of(mref) {
+                changed |= link_pass(program, table, self, decl, mref, ctx);
+                changed |= store_pass(program, table, self, decl, mref, ctx);
             }
         }
         changed | init_pass_for(program, table, self, active)
+    }
+
+    /// Indexes the parameter and local names of `mref`, declared by
+    /// `decl` (`None`: it no longer exists), copying the shared index
+    /// only when they changed.
+    pub(crate) fn set_locals(&mut self, mref: &MethodRef, decl: Option<&MethodDecl>) {
+        let names = decl.map(method_locals);
+        if self.locals.get(mref) != names.as_ref() {
+            let locals = Arc::make_mut(&mut self.locals);
+            match names {
+                Some(names) => locals.insert(mref.clone(), names),
+                None => locals.remove(mref),
+            };
+        }
     }
 
     /// Certificate check, independent of how the relation was solved:
@@ -752,7 +893,8 @@ impl PointsTo {
         let all: Vec<&Site> = sites.iter().collect();
         let uncalled = uncalled_methods(program, table);
         let mut copy = self.clone();
-        if copy.round(program, table, &all, None, &uncalled) {
+        let members = Members::of(program, None);
+        if copy.round(program, table, &all, &members, None, &uncalled) {
             let (objs, facts) = (copy.objs.len(), copy.fact_pairs());
             return Err(format!(
                 "one more round grew the relation to {objs} objects, {facts} facts"
@@ -915,112 +1057,177 @@ pub fn analyze_k(program: &Program, table: &ClassTable, k: usize) -> PointsTo {
         ..PointsTo::default()
     };
     create_summaries(program, table, &sites, &mut pt);
+    for (_, decl, mref) in crate::each_method(program) {
+        pt.set_locals(&mref, Some(decl));
+    }
     let uncalled = uncalled_methods(program, table);
     pt.solve(program, table, &sites, None, &uncalled);
     pt
 }
 
-/// Indexes each method's parameter and declared local names.
-fn collect_locals(program: &Program, pt: &mut PointsTo) {
-    for (_, decl, mref) in crate::each_method(program) {
-        let names: BTreeSet<String> = decl
-            .params
-            .iter()
-            .map(|p| p.name.clone())
-            .chain(collect_var_decls(decl))
-            .collect();
-        pt.locals.entry(mref).or_default().extend(names);
+/// The declarations of the methods one solve runs, looked up once:
+/// every method, or the active ones, in declaration order. The order is
+/// part of the solve: a call whose receiver set is still empty flows
+/// into every context, so which facts a round sees first decides
+/// whether that fallback fires, and the delta must see them in the
+/// order a cold solve does.
+struct Members<'p>(Vec<(&'p MethodDecl, MethodRef)>);
+
+impl<'p> Members<'p> {
+    fn of(program: &'p Program, active: Option<&BTreeSet<MethodRef>>) -> Members<'p> {
+        Members(match active {
+            None => crate::each_method(program)
+                .map(|(_, decl, mref)| (decl, mref))
+                .collect(),
+            Some(active) => {
+                let mut members: Vec<_> = active
+                    .iter()
+                    .filter_map(|m| {
+                        let (at, decl) = member_at(program, m)?;
+                        Some((at, decl, m.clone()))
+                    })
+                    .collect();
+                members.sort_by_key(|(at, ..)| *at);
+                members.into_iter().map(|(_, decl, m)| (decl, m)).collect()
+            }
+        })
     }
 }
 
-fn collect_var_decls(decl: &MethodDecl) -> Vec<String> {
-    let mut names = Vec::new();
+/// Where `mref` is declared — its class's index, then its index among
+/// the class's constructors followed by its methods, the order of
+/// [`crate::each_method`] — with its declaration.
+pub(crate) fn member_at<'p>(program: &'p Program, mref: &MethodRef) -> Option<((usize, usize), &'p MethodDecl)> {
+    let (ci, class) = program
+        .classes
+        .iter()
+        .enumerate()
+        .find(|(_, c)| c.name == mref.class)?;
+    let (mi, decl) = if mref.is_ctor {
+        class
+            .ctors
+            .iter()
+            .enumerate()
+            .find(|(_, c)| u32::try_from(c.params.len()) == Ok(mref.arity))?
+    } else {
+        let (i, decl) = class
+            .methods
+            .iter()
+            .enumerate()
+            .find(|(_, m)| m.name == mref.method)?;
+        (class.ctors.len() + i, decl)
+    };
+    Some(((ci, mi), decl))
+}
+
+/// A method's parameter and declared local names.
+fn method_locals(decl: &MethodDecl) -> BTreeSet<String> {
+    let mut names: BTreeSet<String> = decl.params.iter().map(|p| p.name.clone()).collect();
     walk_stmts(&decl.body, &mut |stmt| {
         if let StmtKind::VarDecl { name, .. } = &stmt.kind {
-            names.push(name.clone());
+            names.insert(name.clone());
         }
     });
     names
+}
+
+impl Site {
+    /// This site at `(expr_id, span)`: the same site in a parse that
+    /// moved it.
+    pub(crate) fn moved_to(&self, (expr_id, span): (NodeId, Span)) -> Site {
+        Site {
+            expr_id,
+            span,
+            ..self.clone()
+        }
+    }
 }
 
 /// Enumerates every allocation and reference-returning builtin site in
 /// walk order, assigning each its fingerprint-stable site id (method
 /// name + walk-order ordinal — stable across span-only edits).
 pub(crate) fn collect_sites(program: &Program, table: &ClassTable) -> Vec<Site> {
+    let mut sites: Vec<Site> = crate::each_method(program)
+        .flat_map(|(_, decl, mref)| method_sites(program, table, decl, &mref))
+        .map(|(_, site)| site)
+        .collect();
+    sites.extend(init_sites(program, table));
+    sites
+}
+
+/// The sites of one method body in walk order, each with the
+/// pre-order index of its expression ([`crate::fingerprint::NodeMap`]
+/// numbering), by which a cached site is moved to a later parse.
+pub(crate) fn method_sites(
+    program: &Program,
+    table: &ClassTable,
+    decl: &MethodDecl,
+    mref: &MethodRef,
+) -> Vec<(usize, Site)> {
     let mut sites = Vec::new();
-    let mut ordinals: BTreeMap<(MethodRef, String), u64> = BTreeMap::new();
-    let mut add = |sites: &mut Vec<Site>,
-                   mref: &MethodRef,
-                   ord_method: &str,
-                   e: &Expr,
-                   class: String,
-                   is_builtin: bool| {
-        let ord = ordinals
-            .entry((mref.clone(), ord_method.to_string()))
-            .or_insert(0);
-        let fp = fingerprint::site_fp(mref, ord_method, *ord);
-        *ord += 1;
-        sites.push(Site {
-            fp,
-            expr_id: e.id,
-            span: e.span,
-            class,
-            is_builtin,
-            method: mref.clone(),
-        });
-    };
-    let mut collect_expr = |sites: &mut Vec<Site>,
-                            mref: &MethodRef,
-                            decl: Option<&MethodDecl>,
-                            ord_method: &str,
-                            e: &Expr| match &e.kind {
-        ExprKind::NewObject { class, .. } => {
-            add(sites, mref, ord_method, e, class.clone(), false);
+    let mut index = 0;
+    walk_exprs(&decl.body, &mut |e| {
+        if let Some(site) = site_at(program, table, mref, Some(decl), &mref.method, sites.len(), e) {
+            sites.push((index, site));
         }
-        ExprKind::NewArray { elem, .. } => {
-            add(
-                sites,
-                mref,
-                ord_method,
-                e,
-                elem.clone().array_of().to_string(),
-                false,
-            );
-        }
-        ExprKind::Call {
-            receiver, method, ..
-        } => {
-            if let Some(CallTarget::Builtin(_, Some(ty))) =
-                resolve_call(program, table, mref, decl, receiver.as_deref(), method)
-            {
-                if ty.is_reference() {
-                    add(sites, mref, ord_method, e, ty.to_string(), true);
-                }
-            }
-        }
-        _ => {}
-    };
-    for (_, decl, mref) in crate::each_method(program) {
-        let ord_method = mref.method.clone();
-        walk_exprs(&decl.body, &mut |e| {
-            collect_expr(&mut sites, &mref, Some(decl), &ord_method, e);
-        });
-    }
-    // Field initializers allocate in the (possibly synthetic) arity-0
-    // constructor; a separate ordinal namespace keeps them from
-    // colliding with that constructor's own sites.
-    for class in &program.classes {
+        index += 1;
+    });
+    sites
+}
+
+/// The sites of every class's field initializers. They allocate in the
+/// (possibly synthetic) arity-0 constructor; a separate ordinal
+/// namespace keeps them from colliding with that constructor's own
+/// sites.
+pub(crate) fn init_sites(program: &Program, table: &ClassTable) -> Vec<Site> {
+    let mut sites = Vec::new();
+    for class in program.classes.iter().filter(|c| c.fields.iter().any(|f| f.init.is_some())) {
         let ctor = MethodRef::ctor(&class.name, 0);
         let decl = crate::decl_of(program, &ctor).map(|(_, d)| d);
-        for field in &class.fields {
-            if let Some(init) = &field.init {
-                walk_expr(init, &mut |e| {
-                    collect_expr(&mut sites, &ctor, decl, "<field-init>", e);
-                });
-            }
+        let mut ord = 0;
+        for init in class.fields.iter().filter_map(|f| f.init.as_ref()) {
+            walk_expr(init, &mut |e| {
+                if let Some(site) = site_at(program, table, &ctor, decl, "<field-init>", ord, e) {
+                    sites.push(site);
+                    ord += 1;
+                }
+            });
         }
     }
     sites
+}
+
+/// The site `e` is, if any, as the `ord`-th site of namespace
+/// `ord_method` in `mref` (declared by `decl`; `None` for a field
+/// initializer of a synthetic constructor).
+fn site_at(
+    program: &Program,
+    table: &ClassTable,
+    mref: &MethodRef,
+    decl: Option<&MethodDecl>,
+    ord_method: &str,
+    ord: usize,
+    e: &Expr,
+) -> Option<Site> {
+    let (class, is_builtin) = match &e.kind {
+        ExprKind::NewObject { class, .. } => (class.clone(), false),
+        ExprKind::NewArray { elem, .. } => (elem.clone().array_of().to_string(), false),
+        ExprKind::Call {
+            receiver, method, ..
+        } => match resolve_call(program, table, mref, decl, receiver.as_deref(), method) {
+            Some(CallTarget::Builtin(_, Some(ty))) if ty.is_reference() => (ty.to_string(), true),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    Some(Site {
+        fp: fingerprint::site_fp(mref, ord_method, ord as u64),
+        expr_id: e.id,
+        span: e.span,
+        class,
+        is_builtin,
+        method: mref.clone(),
+    })
 }
 
 /// The distinct classes (or array-type renderings) of every allocation
@@ -1042,13 +1249,13 @@ fn create_summaries(program: &Program, table: &ClassTable, sites: &[Site], pt: &
             .iter()
             .any(|s| table.is_subclass_of(&s.class, &class.name));
         if !has_site {
-            add_summary(program, table, &class.name, pt);
+            add_summary(table, &class.name, pt);
         }
     }
 }
 
 /// Adds a summary object for `class`, updating the this-sets.
-fn add_summary(program: &Program, table: &ClassTable, class: &str, pt: &mut PointsTo) -> ObjId {
+fn add_summary(table: &ClassTable, class: &str, pt: &mut PointsTo) -> ObjId {
     if let Some(&id) = pt.summary_of_class.get(class) {
         return id;
     }
@@ -1063,26 +1270,24 @@ fn add_summary(program: &Program, table: &ClassTable, class: &str, pt: &mut Poin
         ctx: Vec::new(),
     });
     pt.summary_of_class.insert(class.to_string(), id);
-    for c in &program.classes {
-        if table.is_subclass_of(class, &c.name) {
-            pt.this_of_class
-                .entry(c.name.clone())
-                .or_default()
-                .insert(id);
-        }
-    }
+    add_instance(table, class, id, pt);
     id
+}
+
+/// Records `id`, an object of class `class`, as a possible `this` of
+/// every user class it is an instance of: `class` and its ancestors.
+fn add_instance(table: &ClassTable, class: &str, id: ObjId, pt: &mut PointsTo) {
+    let mut current = table.class(class);
+    while let Some(c) = current.filter(|c| !c.is_builtin) {
+        pt.this_of_class.entry(c.name.clone()).or_default().insert(id);
+        current = c.superclass.as_deref().and_then(|s| table.class(s));
+    }
 }
 
 /// Clones each site into every heap context its method currently runs
 /// under. New receivers discovered by later passes pick up their clones
 /// on the next iteration (the outer fixpoint covers it).
-fn materialize_pass(
-    sites: &[&Site],
-    program: &Program,
-    table: &ClassTable,
-    pt: &mut PointsTo,
-) -> bool {
+fn materialize_pass(sites: &[&Site], table: &ClassTable, pt: &mut PointsTo) -> bool {
     let mut changed = false;
     for site in sites {
         for ctx in pt.ctxs_of(&site.method) {
@@ -1106,14 +1311,7 @@ fn materialize_pass(
             });
             pt.clone_of.insert((site.fp, hctx), id);
             pt.site_of_expr.entry(site.expr_id).or_default().insert(id);
-            for c in &program.classes {
-                if table.is_subclass_of(&site.class, &c.name) {
-                    pt.this_of_class
-                        .entry(c.name.clone())
-                        .or_default()
-                        .insert(id);
-                }
-            }
+            add_instance(table, &site.class, id, pt);
             changed = true;
         }
     }
@@ -1165,10 +1363,11 @@ fn seed_external_params(
     pt: &mut PointsTo,
 ) -> bool {
     let mut changed = false;
-    for mref in uncalled {
-        if active.is_some_and(|a| !a.contains(mref)) {
-            continue;
-        }
+    let seeded: Vec<&MethodRef> = match active {
+        None => uncalled.iter().collect(),
+        Some(a) => a.iter().filter(|m| uncalled.contains(*m)).collect(),
+    };
+    for mref in seeded {
         let Some((_, decl)) = crate::decl_of(program, mref) else {
             continue;
         };
@@ -1180,7 +1379,7 @@ fn seed_external_params(
             let name = &param.name;
             let mut seed = pt.instances_of(cn);
             let before_objs = pt.objs.len();
-            let summary = add_summary(program, table, cn, pt);
+            let summary = add_summary(table, cn, pt);
             changed |= pt.objs.len() != before_objs;
             seed.insert(summary);
             for ctx in pt.ctxs_of(mref) {

@@ -6,25 +6,32 @@
 //! incremental: [`PtCache`] keeps the previous revision's solved
 //! relation together with a per-method **constraint shape** — a
 //! constant-blind structural fingerprint plus the syntactic facts that
-//! determine which constraints the method contributes (callees, field
-//! names touched, allocation classes, class-typed parameters).
+//! determine which constraints the method contributes (callees, heap
+//! keys touched, allocation classes, class-typed parameters) — and the
+//! reverse indexes, allocation sites, and local names derived from the
+//! shapes, each updated for the changed methods only.
 //!
 //! Every revision takes one flow ([`PtCache::update`]):
 //!
 //! 1. **Changed methods** — from the revision's [`ProgramIndex`]: the
-//!    methods whose key differs, methods added or removed, and every
-//!    method of a class whose context fingerprint changed (it covers
-//!    the field initializers, which the class's arity-0, possibly
-//!    synthetic, constructor owns). With no cached state, every method.
-//! 2. **Shapes** — only the changed shapes are re-extracted; the
-//!    allocation-site classes and the uncalled set are folded out of
-//!    the shape map instead of re-walking every body.
+//!    methods a splice re-fingerprinted since the cached revision
+//!    ([`ProgramIndex::changed_since`]), or, after a full index build,
+//!    the methods whose key differs, methods added or removed, and
+//!    every method of a class whose context fingerprint changed (it
+//!    covers the field initializers, which the class's arity-0,
+//!    possibly synthetic, constructor owns). With no cached state,
+//!    every method.
+//! 2. **Shapes** — only the changed shapes are re-extracted, and only
+//!    their entries of the reverse indexes, the per-method sites, and
+//!    the allocation-class and call counts (whose zeroes are the
+//!    site-class and uncalled sets) are replaced.
 //! 3. **Reset** — the relation goes back to empty, and every method is
 //!    solved, for a typed [`ResetCause`]: no cached state, a changed
 //!    depth `k`, a changed class signature table, a changed
-//!    allocation-class set (summary-object eligibility), a cached
-//!    relation that had not converged, a surviving site that vanished
-//!    on rebase, or a restricted re-solve that diverged.
+//!    allocation-class set (summary-object eligibility), a change of
+//!    heap-key kind, a cached relation that had not converged, a
+//!    surviving site that vanished on rebase, or a restricted re-solve
+//!    that diverged.
 //! 4. **Taint, retract, rebase, solve** — a *taint closure* over the
 //!    shape graph finds every method whose constraints could read a
 //!    changed fact; their constraints are retracted
@@ -38,28 +45,44 @@
 //!
 //! The taint closure is deliberately syntactic and symmetric, so its
 //! soundness is mechanical: a changed method taints its callers and
-//! callees (argument/return flows), every method touching any field it
-//! touches (heap facts are stored by field name and are not attributed
-//! to a writer — all slots of a tainted field are cleared and every
-//! toucher re-derives them), every method of every superclass of a
+//! callees (argument/return flows), every heap key it touches and every
+//! toucher of an overlapping key, every method of every superclass of a
 //! class it allocates (instance sets, receiver contexts, and `this`
 //! sets of those classes change when allocations change), and every
 //! uncalled method with a parameter the allocation could flow into
-//! (external-parameter seeding reads instance sets). Retraction then
-//! reports back which *surviving* constraint sets lost an object; the
-//! owning methods join the taint set and the closure re-runs until no
-//! retained fact mentions a retracted object. Batch ≡ incremental is
-//! enforced by [`PointsTo::same_relation`] against
-//! [`pointsto::analyze_k`] in the tests here and the
+//! (external-parameter seeding reads instance sets). Heap facts are not
+//! attributed to a writer, so every slot of a tainted key is cleared
+//! and every toucher re-derives it. A key ([`pointsto::HeapKey`]) names
+//! a field by its declaring class, resolved from the static type of the
+//! accessed object, and fields and array elements that cannot hold a
+//! reference have none; when static types do not bound the relation
+//! (see [`pointsto::KeyRule`]) keys fall back to the field name alone.
+//! With typed keys a method that cannot derive a fact — it allocates
+//! nothing, has no reference parameter, and moves no value that is not
+//! provably primitive — owns none, so the closure neither adds nor
+//! expands it: its edges carry nothing. Retraction then reports back which *surviving* constraint sets lost
+//! an object; the owning methods and slot keys join the taint and the
+//! closure re-runs until no retained fact mentions a retracted object.
+//! Batch ≡ incremental is enforced by [`PointsTo::same_relation`]
+//! against [`pointsto::analyze_k`] in the tests here and the
 //! `incremental_properties` proptests, which also check every warm
-//! relation with [`PointsTo::check_post_fixpoint`].
+//! relation with [`PointsTo::check_post_fixpoint`]. The re-derivation
+//! visits the tainted methods and sites in declaration order, as the
+//! cold solve does: a call whose receiver set is still empty flows into
+//! every receiver context, so the order decides which facts that
+//! fallback sees.
+//!
+//! The solved relation is shared ([`Arc`]) with the report the
+//! database hands out; the next revision copies it only if a report
+//! still holds it when it changes.
 
 use crate::fingerprint::{self, Fp, ProgramIndex, StructHasher};
-use crate::pointsto::{self, PointsTo};
+use crate::pointsto::{self, HeapKey, KeyRule, PointsTo, Site};
 use crate::MethodRef;
 use jtlang::ast::{Block, ClassDecl, Expr, ExprKind, MethodDecl, Program, StmtKind, Type};
 use jtlang::resolve::ClassTable;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Which solve path [`PtCache::update`] took for one revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +110,9 @@ pub enum ResetCause {
     /// The set of allocation-site classes changed, and with it which
     /// classes get a summary object.
     SiteClassesChanged,
+    /// Heap keys switched between typed and by-name
+    /// ([`pointsto::KeyRule`]), so every shape is re-extracted.
+    KeyingChanged,
     /// The cached relation had hit [`pointsto::MAX_PASSES`].
     NotConverged,
     /// A surviving object's allocation site is missing from the
@@ -105,6 +131,7 @@ impl ResetCause {
             ResetCause::DepthChanged => "depth_changed",
             ResetCause::SignatureChanged => "signature_changed",
             ResetCause::SiteClassesChanged => "site_classes_changed",
+            ResetCause::KeyingChanged => "keying_changed",
             ResetCause::NotConverged => "not_converged",
             ResetCause::SiteVanished => "site_vanished",
             ResetCause::Diverged => "diverged",
@@ -123,6 +150,11 @@ pub struct DeltaOutcome {
     /// Constraint-set members derived this revision (total facts for a
     /// cold solve, the re-derived frontier for a delta).
     pub added: u64,
+    /// Methods re-derived: the taint closure of a delta, every method
+    /// of a cold solve, none for a rebase.
+    pub tainted: u64,
+    /// Heap keys whose slots a delta cleared (0 otherwise).
+    pub taint_fields: u64,
 }
 
 /// The constraint shape of one method: everything about its body that
@@ -137,9 +169,9 @@ struct MethodShape {
     fp: Fp,
     /// Statically resolved user callees (including constructors).
     callees: BTreeSet<MethodRef>,
-    /// Field names read or written, including the array pseudo-field
-    /// and implicit-`this` accesses.
-    fields: BTreeSet<String>,
+    /// Heap keys read or written ([`pointsto::KeyRule`]), including
+    /// implicit-`this` accesses.
+    fields: BTreeSet<HeapKey>,
     /// Classes (or array-type renderings) of allocation and
     /// reference-returning builtin sites in the body.
     alloc_classes: BTreeSet<String>,
@@ -151,6 +183,97 @@ struct MethodShape {
     /// [`pointsto::uncalled_methods`] derives, which walks bodies but
     /// not initializers.
     body_called: BTreeSet<MethodRef>,
+    /// The method gives one local name two types (a parameter counts),
+    /// or a field initializer it owns reads one of its locals: the
+    /// relation keeps one variable per name, so static types stop
+    /// bounding it and keys cannot be typed.
+    mixed_locals: bool,
+    /// The method may derive a points-to fact: it allocates, has a
+    /// reference parameter, or moves a value that is not provably
+    /// primitive — an argument, an initializer, an assigned or returned
+    /// value. A method that cannot (with typed keys only: by-name keys
+    /// do not trust static types) owns no fact, so re-deriving it is a
+    /// no-op and its edges carry nothing.
+    flows: bool,
+}
+
+/// Reverse indexes and counts over a set of shapes, kept up to date
+/// shape by shape.
+#[derive(Debug, Default)]
+struct ShapeIndex {
+    /// Callee → callers.
+    callers: BTreeMap<MethodRef, BTreeSet<MethodRef>>,
+    /// Heap key → methods touching it.
+    touchers: BTreeMap<HeapKey, BTreeSet<MethodRef>>,
+    /// Class → methods declared by it.
+    by_class: BTreeMap<String, BTreeSet<MethodRef>>,
+    /// Parameter class → methods with a parameter of that class.
+    by_param: BTreeMap<String, BTreeSet<MethodRef>>,
+    /// Allocation class → shapes allocating it: the keys are the
+    /// site-class set.
+    allocs: BTreeMap<String, usize>,
+    /// Callee → shapes whose body calls it: a method without an entry
+    /// is uncalled.
+    calls: BTreeMap<MethodRef, usize>,
+}
+
+impl ShapeIndex {
+    fn add(&mut self, m: &MethodRef, s: &MethodShape) {
+        fn link<K: Ord + Clone>(map: &mut BTreeMap<K, BTreeSet<MethodRef>>, k: &K, m: &MethodRef) {
+            map.entry(k.clone()).or_default().insert(m.clone());
+        }
+        for c in &s.callees {
+            link(&mut self.callers, c, m);
+        }
+        for f in &s.fields {
+            link(&mut self.touchers, f, m);
+        }
+        link(&mut self.by_class, &m.class, m);
+        for p in &s.param_classes {
+            link(&mut self.by_param, p, m);
+        }
+        for a in &s.alloc_classes {
+            *self.allocs.entry(a.clone()).or_default() += 1;
+        }
+        for c in &s.body_called {
+            *self.calls.entry(c.clone()).or_default() += 1;
+        }
+    }
+
+    fn remove(&mut self, m: &MethodRef, s: &MethodShape) {
+        fn unlink<K: Ord>(map: &mut BTreeMap<K, BTreeSet<MethodRef>>, k: &K, m: &MethodRef) {
+            if let Some(set) = map.get_mut(k) {
+                set.remove(m);
+                if set.is_empty() {
+                    map.remove(k);
+                }
+            }
+        }
+        fn uncount<K: Ord>(map: &mut BTreeMap<K, usize>, k: &K) {
+            if let Some(n) = map.get_mut(k) {
+                *n -= 1;
+                if *n == 0 {
+                    map.remove(k);
+                }
+            }
+        }
+        for c in &s.callees {
+            unlink(&mut self.callers, c, m);
+        }
+        for f in &s.fields {
+            unlink(&mut self.touchers, f, m);
+        }
+        unlink(&mut self.by_class, &m.class, m);
+        for p in &s.param_classes {
+            unlink(&mut self.by_param, p, m);
+        }
+        for a in &s.alloc_classes {
+            uncount(&mut self.allocs, a);
+        }
+        for c in &s.body_called {
+            uncount(&mut self.calls, c);
+        }
+    }
 }
 
 /// Cached state of the previous revision.
@@ -158,9 +281,24 @@ struct MethodShape {
 struct CachedPt {
     k: usize,
     sig: Fp,
-    site_classes: BTreeSet<String>,
-    uncalled: BTreeSet<MethodRef>,
+    /// The shapes carry typed keys ([`pointsto::KeyRule`]).
+    typed: bool,
+    /// The class table hides a field, so keys are never typed.
+    hides_fields: bool,
+    /// Shapes with [`MethodShape::mixed_locals`] set.
+    mixed: usize,
     shapes: BTreeMap<MethodRef, MethodShape>,
+    index: ShapeIndex,
+    uncalled: BTreeSet<MethodRef>,
+    /// Each method's allocation and builtin sites with their
+    /// expressions' pre-order indices, moved to a revision through its
+    /// [`crate::fingerprint::NodeMap`]; keyed by declaration position
+    /// ([`pointsto::member_at`]), so they list in a cold solve's order.
+    sites: BTreeMap<(usize, usize), Vec<(usize, Site)>>,
+    /// The classes in declaration order, which the positions index. An
+    /// unchanged signature table fixes each class's members, but not
+    /// the order of the classes.
+    class_order: Vec<String>,
     /// Raw per-method fingerprints of the revision the shapes were
     /// extracted from (from [`ProgramIndex::methods`]).
     mkeys: BTreeMap<MethodRef, Fp>,
@@ -168,7 +306,25 @@ struct CachedPt {
     /// declarations and initializers — the only method-external input
     /// to a shape besides the signature table).
     class_ctx: BTreeMap<String, Fp>,
-    pt: PointsTo,
+    /// [`ProgramIndex::stamp`] of that revision's index.
+    stamp: Option<u64>,
+    pt: Arc<PointsTo>,
+}
+
+/// What bringing the shapes to a revision changed.
+#[derive(Debug, Default)]
+struct ShapeSync {
+    /// The methods whose shape changed.
+    reshaped: Vec<MethodRef>,
+    /// Methods whose shape fingerprint changed, or whose uncalled
+    /// status flipped (seeding is part of a method's constraints).
+    tainted: BTreeSet<MethodRef>,
+    /// The previous shapes of the methods whose shape changed.
+    old_shapes: BTreeMap<MethodRef, MethodShape>,
+    /// Methods whose uncalled status flipped.
+    flipped: BTreeSet<MethodRef>,
+    /// The set of allocation-site classes changed.
+    site_classes_changed: bool,
 }
 
 /// Cross-revision delta points-to cache. One slot: the evolving
@@ -181,16 +337,17 @@ pub(crate) struct PtCache {
 
 impl PtCache {
     /// Solves (or incrementally re-solves) the relation for `program`
-    /// at depth `k`, given its index `ix`, returning an owned canonical
-    /// relation and the traffic taken to produce it. The one flow of
-    /// the module doc.
+    /// at depth `k`, given its index `ix`, returning the canonical
+    /// relation — shared with the cache, which copies it only when a
+    /// later revision changes it while the caller still holds it — and
+    /// the traffic taken to produce it. The one flow of the module doc.
     pub(crate) fn update(
         &mut self,
         program: &Program,
         table: &ClassTable,
         k: usize,
         ix: &ProgramIndex,
-    ) -> (PointsTo, DeltaOutcome) {
+    ) -> (Arc<PointsTo>, DeltaOutcome) {
         let mut reset = match &self.state {
             None => Some(ResetCause::NoState),
             Some(st) if st.k != k => Some(ResetCause::DepthChanged),
@@ -200,88 +357,224 @@ impl PtCache {
         };
         let st = self.state.get_or_insert_with(CachedPt::default);
         if reset.is_some() {
-            *st = CachedPt::default();
+            *st = CachedPt::fresh(table, k, ix.sig, None);
         }
-        (st.k, st.sig) = (k, ix.sig);
 
         // 1. The changed methods; 2. their shapes.
-        let changed = st.changed_methods(ix);
-        for m in &changed {
-            match ix.methods.get(m) {
-                Some((fp, _)) => st.mkeys.insert(m.clone(), *fp),
-                None => st.mkeys.remove(m),
-            };
+        let mut sync = st.sync(program, table, ix);
+        let typed = !st.hides_fields && st.mixed == 0;
+        if typed != st.typed {
+            reset.get_or_insert(ResetCause::KeyingChanged);
+            *st = CachedPt::fresh(table, k, ix.sig, Some(typed));
+            sync = st.sync(program, table, ix);
         }
-        let fresh = shapes_of(program, table, changed);
-        st.class_ctx.clone_from(&ix.class_ctx);
-        // Equal shapes (e.g. a literal tweak the constant-blind
-        // fingerprint masks) taint nothing, and leave the shape map and
-        // the sets folded out of it as they are.
-        let mut tainted: BTreeSet<MethodRef> = BTreeSet::new();
-        let mut old_shapes: BTreeMap<MethodRef, MethodShape> = BTreeMap::new();
-        let mut old_uncalled: BTreeSet<MethodRef> = BTreeSet::new();
-        if fresh.iter().any(|(m, sh)| st.shapes.get(m) != sh.as_ref()) {
-            for (m, sh) in fresh {
-                let old = match sh {
-                    Some(sh) => st.shapes.insert(m.clone(), sh),
-                    None => st.shapes.remove(&m),
-                };
-                if old.as_ref().map(|o| o.fp) != st.shapes.get(&m).map(|s| s.fp) {
-                    tainted.insert(m.clone());
-                }
-                if let Some(old) = old {
-                    old_shapes.insert(m, old);
-                }
-            }
-            let (site_classes, uncalled) = derive_sites_uncalled(&st.shapes, ix);
-            if reset.is_none() && site_classes != st.site_classes {
-                reset = Some(ResetCause::SiteClassesChanged);
-            }
-            // Seeding is part of a method's constraints: an
-            // uncalled-status flip taints it.
-            tainted.extend(st.uncalled.symmetric_difference(&uncalled).cloned());
-            old_uncalled = std::mem::replace(&mut st.uncalled, uncalled);
-            st.site_classes = site_classes;
+        if reset.is_none() && sync.site_classes_changed {
+            reset = Some(ResetCause::SiteClassesChanged);
         }
 
         // 3. Reset, or 4. taint, retract, rebase, solve.
         let warm = match reset {
             Some(cause) => Err(cause),
-            None => st.resolve(program, table, tainted, &old_shapes, &old_uncalled),
+            None => st.resolve(program, table, ix, sync),
         };
         let outcome = warm.unwrap_or_else(|cause| {
-            st.pt = pointsto::analyze_k(program, table, k);
+            st.pt = Arc::new(pointsto::analyze_k(program, table, k));
             DeltaOutcome {
                 path: DeltaPath::Cold(cause),
                 retracted: 0,
                 added: st.pt.fact_pairs(),
+                tainted: st.shapes.len() as u64,
+                taint_fields: 0,
             }
         });
-        (st.pt.clone(), outcome)
+        (Arc::clone(&st.pt), outcome)
     }
 }
 
 impl CachedPt {
+    /// Empty state for `table` (with signature fingerprint `sig`) at
+    /// depth `k`, with typed keys unless the table hides a field or
+    /// `typed` says otherwise.
+    fn fresh(table: &ClassTable, k: usize, sig: Fp, typed: Option<bool>) -> CachedPt {
+        let hides_fields = pointsto::hides_fields(table);
+        CachedPt {
+            k,
+            sig,
+            hides_fields,
+            typed: typed.unwrap_or(!hides_fields),
+            ..CachedPt::default()
+        }
+    }
+
     /// The methods whose constraint shape may differ in the revision
-    /// `ix` indexes: key changed, added or removed, or of a class whose
-    /// context changed — including its arity-0 constructor, which owns
-    /// the field initializers even when the class declares none.
+    /// `ix` indexes: from the index's journal when it reaches back to
+    /// the cached revision, else key changed, added or removed, or of a
+    /// class whose context changed — including its arity-0 constructor,
+    /// which owns the field initializers even when the class declares
+    /// none.
     fn changed_methods(&self, ix: &ProgramIndex) -> BTreeSet<MethodRef> {
-        let ctx_changed = |c: &String| ix.class_ctx.get(c) != self.class_ctx.get(c);
-        let ctors = ix.class_ctx.keys().chain(self.class_ctx.keys());
-        ix.methods
+        if let Some(changed) = self.stamp.and_then(|s| ix.changed_since(s)) {
+            return changed.iter().cloned().collect();
+        }
+        let classes: BTreeSet<&String> = ix
+            .class_ctx
             .keys()
-            .chain(self.mkeys.keys())
-            .filter(|m| {
-                ix.methods.get(*m).map(|(fp, _)| fp) != self.mkeys.get(*m) || ctx_changed(&m.class)
-            })
-            .cloned()
-            .chain(
-                ctors
-                    .filter(|c| ctx_changed(c))
-                    .map(|c| MethodRef::ctor(c, 0)),
-            )
-            .collect()
+            .chain(self.class_ctx.keys())
+            .filter(|c| ix.class_ctx.get(*c) != self.class_ctx.get(*c))
+            .collect();
+        let mut changed: BTreeSet<MethodRef> =
+            classes.iter().map(|c| MethodRef::ctor(*c, 0)).collect();
+        // Both key maps are sorted: one merged pass compares them.
+        let mut new = ix.methods.iter().map(|(m, (fp, _))| (m, fp)).peekable();
+        let mut old = self.mkeys.iter().peekable();
+        loop {
+            let (m, same) = match (new.peek().copied(), old.peek().copied()) {
+                (None, None) => break,
+                (Some((a, fa)), Some((b, fb))) if a == b => {
+                    new.next();
+                    old.next();
+                    (a, fa == fb)
+                }
+                (Some((a, _)), Some((b, _))) if b < a => {
+                    old.next();
+                    (b, false)
+                }
+                (Some((a, _)), _) => {
+                    new.next();
+                    (a, false)
+                }
+                (None, Some((b, _))) => {
+                    old.next();
+                    (b, false)
+                }
+            };
+            if !same || classes.contains(&m.class) {
+                changed.insert(m.clone());
+            }
+        }
+        changed
+    }
+
+    /// Steps 1 and 2 of the flow: brings the shapes, the indexes over
+    /// them, the uncalled set, and the per-method sites to the revision
+    /// `ix` indexes, re-extracting the changed methods only.
+    fn sync(&mut self, program: &Program, table: &ClassTable, ix: &ProgramIndex) -> ShapeSync {
+        let changed = self.changed_methods(ix);
+        let full = self.stamp.is_none();
+        if self.stamp.is_none_or(|s| ix.changed_since(s).is_none()) {
+            self.class_ctx.clone_from(&ix.class_ctx);
+        }
+        self.stamp = Some(ix.stamp());
+        let keys = KeyRule {
+            table,
+            typed: self.typed,
+        };
+        if !program.classes.iter().map(|c| &c.name).eq(&self.class_order) {
+            self.class_order = program.classes.iter().map(|c| c.name.clone()).collect();
+            self.sites = std::mem::take(&mut self.sites)
+                .into_values()
+                .filter_map(|sites| {
+                    let (pos, _) = pointsto::member_at(program, &sites.first()?.1.method)?;
+                    Some((pos, sites))
+                })
+                .collect();
+        }
+        let mut out = ShapeSync::default();
+        let mut callees: BTreeSet<MethodRef> = BTreeSet::new();
+        // Whether each allocation class a changed shape names had a
+        // site before the first change to it.
+        let mut had_sites: BTreeMap<String, bool> = BTreeMap::new();
+        for m in changed {
+            match ix.methods.get(&m) {
+                Some((fp, _)) => self.mkeys.insert(m.clone(), *fp),
+                None => self.mkeys.remove(&m),
+            };
+            let at = pointsto::member_at(program, &m);
+            if let Some((pos, decl)) = at {
+                let sites = pointsto::method_sites(program, table, decl, &m);
+                if sites.is_empty() {
+                    self.sites.remove(&pos);
+                } else {
+                    self.sites.insert(pos, sites);
+                }
+            }
+            let decl = at.map(|(_, d)| d);
+            let new = shape_of(program, keys, &m, decl);
+            let old = self.shapes.get(&m);
+            // Equal shapes (e.g. a literal tweak the constant-blind
+            // fingerprint masks) taint nothing.
+            if old == new.as_ref() {
+                continue;
+            }
+            out.reshaped.push(m.clone());
+            if old.map(|o| o.fp) != new.as_ref().map(|s| s.fp) {
+                out.tainted.insert(m.clone());
+            }
+            for s in old.iter().copied().chain(new.as_ref()) {
+                callees.extend(s.body_called.iter().cloned());
+                for a in &s.alloc_classes {
+                    if !had_sites.contains_key(a) {
+                        had_sites.insert(a.clone(), self.index.allocs.contains_key(a));
+                    }
+                }
+            }
+            if let Some(old) = old {
+                self.index.remove(&m, old);
+                self.mixed -= usize::from(old.mixed_locals);
+            }
+            let old = match new {
+                Some(new) => {
+                    self.index.add(&m, &new);
+                    self.mixed += usize::from(new.mixed_locals);
+                    self.shapes.insert(m.clone(), new)
+                }
+                None => self.shapes.remove(&m),
+            };
+            if let Some(old) = old {
+                out.old_shapes.insert(m, old);
+            }
+        }
+        out.site_classes_changed = had_sites
+            .iter()
+            .any(|(a, &had)| had != self.index.allocs.contains_key(a));
+        // The uncalled set: the indexed methods no body calls.
+        if full {
+            self.uncalled = ix
+                .methods
+                .keys()
+                .filter(|m| !self.index.calls.contains_key(*m))
+                .cloned()
+                .collect();
+        } else {
+            for m in callees.into_iter().filter(|m| ix.methods.contains_key(m)) {
+                let uncalled = !self.index.calls.contains_key(&m);
+                if uncalled != self.uncalled.contains(&m) {
+                    if uncalled {
+                        self.uncalled.insert(m.clone());
+                    } else {
+                        self.uncalled.remove(&m);
+                    }
+                    out.tainted.insert(m.clone());
+                    out.flipped.insert(m);
+                }
+            }
+        }
+        out
+    }
+
+    /// The revision's allocation and builtin sites: the cached
+    /// per-method sites moved to their places in the revision, plus the
+    /// field initializers' sites.
+    fn revision_sites(&self, program: &Program, table: &ClassTable, ix: &ProgramIndex) -> Vec<Site> {
+        let mut out = Vec::new();
+        for sites in self.sites.values() {
+            let Some(map) = sites.first().and_then(|(_, s)| ix.node_map(&s.method)) else {
+                continue;
+            };
+            out.extend(sites.iter().map(|(i, s)| s.moved_to(map.expr(*i))));
+        }
+        out.extend(pointsto::init_sites(program, table));
+        out
     }
 
     /// The summary-object classes the relation holds but a cold solve
@@ -295,8 +588,9 @@ impl CachedPt {
             .iter()
             .filter(|c| {
                 !self
-                    .site_classes
-                    .iter()
+                    .index
+                    .allocs
+                    .keys()
                     .any(|s| table.is_subclass_of(s, &c.name))
             })
             .map(|c| &c.name)
@@ -313,59 +607,89 @@ impl CachedPt {
             .collect()
     }
 
-    /// Step 4 of the flow on the cached relation: closes `tainted`
-    /// over the shape graph, retracts the closure's facts, rebases the
-    /// relation onto `program`, and re-derives the closure with the one
-    /// propagation loop. `old_shapes` holds the previous shapes of the
-    /// changed methods, `old_uncalled` the previous uncalled set.
-    /// `Err` names why the relation must be solved from empty instead.
+    /// Step 4 of the flow on the cached relation: closes the tainted
+    /// methods of `sync` over the shape graph, retracts the closure's
+    /// facts, rebases the relation onto `program`, and re-derives the
+    /// closure with the one propagation loop. `Err` names why the
+    /// relation must be solved from empty instead.
     fn resolve(
         &mut self,
         program: &Program,
         table: &ClassTable,
-        mut tainted: BTreeSet<MethodRef>,
-        old_shapes: &BTreeMap<MethodRef, MethodShape>,
-        old_uncalled: &BTreeSet<MethodRef>,
+        ix: &ProgramIndex,
+        sync: ShapeSync,
     ) -> Result<DeltaOutcome, ResetCause> {
+        let keys = KeyRule {
+            table,
+            typed: self.typed,
+        };
+        // Stale summaries only follow an uncalled flip: otherwise the
+        // expected set is the cached revision's, which the relation
+        // matched.
+        let stale = if sync.flipped.is_empty() {
+            BTreeSet::new()
+        } else {
+            self.stale_summaries(program, table)
+        };
+        let sites = self.revision_sites(program, table, ix);
+        let ShapeSync {
+            reshaped,
+            mut tainted,
+            old_shapes,
+            flipped,
+            ..
+        } = sync;
+        let pt = Arc::make_mut(&mut self.pt);
+        // A method's locals are part of its shape's fingerprint.
+        for m in &reshaped {
+            pt.set_locals(m, crate::decl_of(program, m).map(|(_, d)| d));
+        }
         let mut retracted = 0u64;
+        let mut fields: BTreeSet<HeapKey> = BTreeSet::new();
         if !tainted.is_empty() {
-            let edges = TaintEdges::build(
-                old_shapes,
-                &self.shapes,
-                old_uncalled,
-                &self.uncalled,
+            let closure = Closure {
                 table,
-            );
-            let mut fields: BTreeSet<String> = BTreeSet::new();
-            let stale = self.stale_summaries(program, table);
+                shapes: &self.shapes,
+                index: &self.index,
+                old_shapes: &old_shapes,
+                old_index: ShapeIndex::of(&old_shapes),
+                uncalled: &self.uncalled,
+                flipped: &flipped,
+            };
+            let mut work: Vec<MethodRef> = tainted.iter().cloned().collect();
+            let mut new_fields: Vec<HeapKey> = Vec::new();
             if !stale.is_empty() {
-                let r = self.pt.retract_summaries(&stale);
+                let r = pt.retract_summaries(&stale, keys);
                 retracted += r.facts_removed;
-                tainted.extend(r.implicated_methods);
-                fields.extend(r.implicated_fields);
+                grow(&mut tainted, &mut work, r.implicated_methods);
+                grow(&mut fields, &mut new_fields, r.implicated_fields);
             }
             // Closure, retraction, and the prune-feedback loop:
             // retraction reports surviving sets that lost an object,
-            // whose owners must also re-derive.
+            // whose owners and slots must also re-derive. Each round
+            // retracts only what the previous rounds did not.
+            let mut done: BTreeSet<MethodRef> = BTreeSet::new();
+            let mut cleared: BTreeSet<HeapKey> = BTreeSet::new();
             loop {
-                edges.close(&mut tainted, &mut fields);
-                let r = self.pt.retract_methods(&tainted);
-                retracted += r.facts_removed;
-                retracted += self.pt.retract_fields(&fields);
-                let mut grew = false;
-                for m in r.implicated_methods {
-                    grew |= tainted.insert(m);
+                closure.close(&mut tainted, &mut fields, work, new_fields);
+                let gone: BTreeSet<MethodRef> = tainted.difference(&done).cloned().collect();
+                let clear: BTreeSet<HeapKey> = fields.difference(&cleared).cloned().collect();
+                (work, new_fields) = (Vec::new(), Vec::new());
+                if !gone.is_empty() {
+                    let r = pt.retract_methods(&gone, keys);
+                    retracted += r.facts_removed;
+                    grow(&mut tainted, &mut work, r.implicated_methods);
+                    grow(&mut fields, &mut new_fields, r.implicated_fields);
                 }
-                for f in r.implicated_fields {
-                    grew |= fields.insert(f);
-                }
-                if !grew {
+                retracted += pt.retract_fields(&clear, table);
+                done.extend(gone);
+                cleared.extend(clear);
+                if work.is_empty() && new_fields.is_empty() {
                     break;
                 }
             }
         }
-        let sites = pointsto::collect_sites(program, table);
-        if !self.pt.rebase(&sites) {
+        if !pt.rebase(&sites) {
             return Err(ResetCause::SiteVanished);
         }
         if tainted.is_empty() {
@@ -373,224 +697,225 @@ impl CachedPt {
                 path: DeltaPath::Rebase,
                 retracted: 0,
                 added: 0,
+                tainted: 0,
+                taint_fields: 0,
             });
         }
-        let baseline = self.pt.fact_pairs();
-        if !self
-            .pt
-            .solve(program, table, &sites, Some(&tainted), &self.uncalled)
-        {
+        let baseline = pt.fact_pairs();
+        if !pt.solve(program, table, &sites, Some(&tainted), &self.uncalled) {
             return Err(ResetCause::Diverged);
         }
         Ok(DeltaOutcome {
             path: DeltaPath::Delta,
             retracted,
-            added: self.pt.fact_pairs() - baseline,
+            added: pt.fact_pairs() - baseline,
+            tainted: tainted.len() as u64,
+            taint_fields: fields.len() as u64,
         })
     }
 }
 
-/// Reverse indexes over the old and new shape maps, used to close the
-/// taint set.
-struct TaintEdges<'a> {
-    /// Callee → callers (both revisions).
-    callers: BTreeMap<MethodRef, BTreeSet<MethodRef>>,
-    /// Field name → methods touching it (both revisions).
-    touchers: BTreeMap<String, BTreeSet<MethodRef>>,
-    /// Class → methods declared by it (both revisions).
-    by_class: BTreeMap<String, BTreeSet<MethodRef>>,
-    /// Uncalled methods of either revision, with their parameter
-    /// classes.
-    ext_params: Vec<(MethodRef, BTreeSet<String>)>,
-    /// Old ∪ new shape of each changed method (a removed method keeps
-    /// its old shape so its edges still fire).
-    merged: BTreeMap<MethodRef, MethodShape>,
-    /// The new shapes; every method not in `merged` has the same shape
-    /// in both revisions.
-    new: &'a BTreeMap<MethodRef, MethodShape>,
-    /// `(allocated class, superclass)` pairs, precomputed from the
-    /// class table.
-    supers: BTreeMap<String, BTreeSet<String>>,
+/// Inserts `items` into `set`, queueing the new ones on `work`.
+fn grow<T: Ord + Clone>(set: &mut BTreeSet<T>, work: &mut Vec<T>, items: impl IntoIterator<Item = T>) {
+    for item in items {
+        if set.insert(item.clone()) {
+            work.push(item);
+        }
+    }
 }
 
-impl<'a> TaintEdges<'a> {
-    /// `old` holds the previous shapes of the changed methods only;
-    /// the others are equal in both revisions.
-    fn build(
-        old: &BTreeMap<MethodRef, MethodShape>,
-        new: &'a BTreeMap<MethodRef, MethodShape>,
-        old_uncalled: &BTreeSet<MethodRef>,
-        new_uncalled: &BTreeSet<MethodRef>,
-        table: &ClassTable,
-    ) -> TaintEdges<'a> {
-        let mut merged: BTreeMap<MethodRef, MethodShape> = old.clone();
-        for (m, o) in merged.iter_mut() {
-            // A method present in both revisions closes over the UNION
-            // of its old and new facts: an edit that removes a call or
-            // field access must still taint the old callee / field,
-            // whose derived facts the edit invalidates.
-            if let Some(s) = new.get(m) {
-                o.callees.extend(s.callees.iter().cloned());
-                o.fields.extend(s.fields.iter().cloned());
-                o.alloc_classes.extend(s.alloc_classes.iter().cloned());
-                o.param_classes.extend(s.param_classes.iter().cloned());
-            }
+impl ShapeIndex {
+    /// The index over `shapes` alone.
+    fn of(shapes: &BTreeMap<MethodRef, MethodShape>) -> ShapeIndex {
+        let mut index = ShapeIndex::default();
+        for (m, s) in shapes {
+            index.add(m, s);
         }
-        let mut callers: BTreeMap<MethodRef, BTreeSet<MethodRef>> = BTreeMap::new();
-        let mut touchers: BTreeMap<String, BTreeSet<MethodRef>> = BTreeMap::new();
-        let mut by_class: BTreeMap<String, BTreeSet<MethodRef>> = BTreeMap::new();
-        let mut classes: BTreeSet<String> = BTreeSet::new();
-        for (m, s) in new.iter().chain(old.iter()) {
-            for c in &s.callees {
-                callers.entry(c.clone()).or_default().insert(m.clone());
-            }
-            for f in &s.fields {
-                touchers.entry(f.clone()).or_default().insert(m.clone());
-            }
-            by_class.entry(m.class.clone()).or_default().insert(m.clone());
-            classes.insert(m.class.clone());
-            classes.extend(s.alloc_classes.iter().cloned());
-        }
-        // For each class that can be allocated, the set of classes
-        // whose instance sets it feeds (its superclasses, inclusively).
-        let mut supers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for alloc in &classes {
-            let ups: BTreeSet<String> = classes
-                .iter()
-                .filter(|c| table.is_subclass_of(alloc, c))
-                .cloned()
-                .collect();
-            supers.insert(alloc.clone(), ups);
-        }
-        let shape = |m| merged.get(m).or_else(|| new.get(m));
-        let ext_params = old_uncalled
-            .union(new_uncalled)
-            .filter_map(|m| {
-                let params = shape(m)?.param_classes.clone();
-                (!params.is_empty()).then_some((m.clone(), params))
-            })
-            .collect();
-        TaintEdges {
-            callers,
-            touchers,
-            by_class,
-            ext_params,
-            merged,
-            new,
-            supers,
-        }
+        index
+    }
+}
+
+/// The edges the taint closes over: those of the current shapes, and
+/// those of the previous shapes of the changed methods — an edit that
+/// removes a call or a field access must still taint the old callee or
+/// key, whose derived facts it invalidates, and a removed method keeps
+/// its edges for the revision that removes it.
+struct Closure<'a> {
+    table: &'a ClassTable,
+    shapes: &'a BTreeMap<MethodRef, MethodShape>,
+    index: &'a ShapeIndex,
+    old_shapes: &'a BTreeMap<MethodRef, MethodShape>,
+    old_index: ShapeIndex,
+    uncalled: &'a BTreeSet<MethodRef>,
+    /// Methods uncalled in the previous revision but not this one
+    /// (with `uncalled`: uncalled in either).
+    flipped: &'a BTreeSet<MethodRef>,
+}
+
+impl Closure<'_> {
+    /// True when `m` may derive a fact in either revision.
+    fn flows(&self, m: &MethodRef) -> bool {
+        [self.shapes.get(m), self.old_shapes.get(m)]
+            .into_iter()
+            .flatten()
+            .any(|s| s.flows)
     }
 
-    /// The shape `m`'s edges close over.
-    fn shape(&self, m: &MethodRef) -> Option<&MethodShape> {
-        self.merged.get(m).or_else(|| self.new.get(m))
+    /// Adds the methods of `ms` that may derive a fact to `tainted`,
+    /// queueing the new ones on `work`. A method that cannot owns no
+    /// fact to retract or re-derive, and its edges carry nothing.
+    fn taint<'m>(
+        &self,
+        tainted: &mut BTreeSet<MethodRef>,
+        work: &mut Vec<MethodRef>,
+        ms: impl IntoIterator<Item = &'m MethodRef>,
+    ) {
+        grow(tainted, work, ms.into_iter().filter(|m| self.flows(m)).cloned());
     }
 
-    /// Grows `tainted` (and the set of heap `fields` to clear) to a
-    /// mutual fixpoint over the shape graph: a tainted method pulls in
-    /// its callers and callees, every field it touches (and so every
-    /// toucher of those fields — heap facts are unattributed, so all
-    /// slots of a touched field are cleared and re-derived), and every
+    /// Grows `tainted` (and the heap keys to clear, `fields`) to a
+    /// mutual fixpoint over the shape graph, from the newly added
+    /// methods `work` and keys `keys`: a tainted method pulls in its
+    /// callers and callees, every key it touches (and so every toucher
+    /// of an overlapping key — heap facts are unattributed, so all
+    /// slots of a touched key are cleared and re-derived), and every
     /// method coupled to a class it allocates through instance sets.
-    fn close(&self, tainted: &mut BTreeSet<MethodRef>, fields: &mut BTreeSet<String>) {
+    /// Methods that cannot derive a fact are neither added nor
+    /// expanded, except the ones `tainted` starts with.
+    fn close(
+        &self,
+        tainted: &mut BTreeSet<MethodRef>,
+        fields: &mut BTreeSet<HeapKey>,
+        mut work: Vec<MethodRef>,
+        mut keys: Vec<HeapKey>,
+    ) {
+        let indexes = [self.index, &self.old_index];
         loop {
-            let before = (tainted.len(), fields.len());
-            let snapshot: Vec<MethodRef> = tainted.iter().cloned().collect();
-            for m in snapshot {
-                if let Some(s) = self.shape(&m) {
-                    tainted.extend(s.callees.iter().cloned());
-                    fields.extend(s.fields.iter().cloned());
+            if let Some(m) = work.pop() {
+                if !self.flows(&m) {
+                    continue;
+                }
+                let shapes = [self.shapes.get(&m), self.old_shapes.get(&m)];
+                for s in shapes.into_iter().flatten() {
+                    self.taint(tainted, &mut work, &s.callees);
+                    grow(fields, &mut keys, s.fields.iter().cloned());
                     for alloc in &s.alloc_classes {
-                        if let Some(ups) = self.supers.get(alloc) {
-                            for up in ups {
-                                if let Some(ms) = self.by_class.get(up) {
-                                    tainted.extend(ms.iter().cloned());
+                        for up in ancestors(self.table, alloc) {
+                            for ix in indexes {
+                                if let Some(ms) = ix.by_class.get(up) {
+                                    self.taint(tainted, &mut work, ms);
                                 }
-                                for (um, params) in &self.ext_params {
-                                    if params.contains(up) {
-                                        tainted.insert(um.clone());
-                                    }
-                                }
+                                let Some(ms) = ix.by_param.get(up) else { continue };
+                                let ext = ms
+                                    .iter()
+                                    .filter(|m| self.uncalled.contains(*m) || self.flipped.contains(*m));
+                                self.taint(tainted, &mut work, ext);
                             }
                         }
                     }
                 }
-                if let Some(cs) = self.callers.get(&m) {
-                    tainted.extend(cs.iter().cloned());
+                for ix in indexes {
+                    if let Some(cs) = ix.callers.get(&m) {
+                        self.taint(tainted, &mut work, cs);
+                    }
                 }
-            }
-            for f in fields.iter() {
-                if let Some(ts) = self.touchers.get(f) {
-                    tainted.extend(ts.iter().cloned());
+            } else if let Some(key) = keys.pop() {
+                for ix in indexes {
+                    let same_field = ix
+                        .touchers
+                        .range(HeapKey::any(&key.field)..)
+                        .take_while(|(k, _)| k.field == key.field);
+                    for (other, ms) in same_field {
+                        if key.overlaps(self.table, other) {
+                            self.taint(tainted, &mut work, ms);
+                        }
+                    }
                 }
-            }
-            if (tainted.len(), fields.len()) == before {
+            } else {
                 break;
             }
         }
     }
 }
 
-/// The shapes of `changed` in `program`: `None` for a method that no
+/// `class` and its superclasses, nearest first.
+fn ancestors<'t>(table: &'t ClassTable, class: &'t str) -> impl Iterator<Item = &'t str> {
+    std::iter::successors(Some(class), |c| {
+        table.class(c).and_then(|info| info.superclass.as_deref())
+    })
+}
+
+/// The shape of `m`, declared by `decl`: `None` for a method that no
 /// longer exists, and for a constructor the class neither declares nor
 /// needs (a synthetic constructor's shape is its class's field
 /// initializers).
-fn shapes_of(
+fn shape_of(
     program: &Program,
-    table: &ClassTable,
-    changed: BTreeSet<MethodRef>,
-) -> BTreeMap<MethodRef, Option<MethodShape>> {
-    let mut out: BTreeMap<MethodRef, Option<MethodShape>> =
-        changed.into_iter().map(|m| (m, None)).collect();
-    for (_, decl, mref) in crate::each_method(program) {
-        if let Some(slot) = out.get_mut(&mref) {
-            *slot = Some(shape_of_method(program, table, decl, &mref));
-        }
-    }
-    for class in &program.classes {
-        if let Some(slot) = out.get_mut(&MethodRef::ctor(&class.name, 0)) {
-            if let Some((inits_fp, extra)) = init_shape(class, program, table) {
-                merge_inits(
-                    slot.get_or_insert_with(MethodShape::default),
-                    inits_fp,
-                    extra,
-                );
+    keys: KeyRule,
+    m: &MethodRef,
+    decl: Option<&MethodDecl>,
+) -> Option<MethodShape> {
+    let mut shape = decl.map(|d| shape_of_method(program, keys, d, m));
+    if m.is_ctor && m.arity == 0 {
+        if let Some(class) = program.class(&m.class) {
+            if let Some((inits_fp, extra)) = init_shape(class, program, keys, decl) {
+                merge_inits(shape.get_or_insert_with(MethodShape::default), inits_fp, extra);
             }
         }
     }
-    out
+    shape
+}
+
+/// The parameters and locals of `decl` by name, with the type of the
+/// last declaration of each (as [`jtlang::types::type_of_expr`] scopes
+/// them), and whether some name has two types.
+fn local_types<'d>(decl: &'d MethodDecl) -> (BTreeMap<&'d str, &'d Type>, bool) {
+    let mut types: BTreeMap<&'d str, &'d Type> = BTreeMap::new();
+    let mut mixed = false;
+    let mut declare = |name: &'d str, ty: &'d Type| {
+        if let Some(prev) = types.insert(name, ty) {
+            mixed |= prev != ty;
+        }
+    };
+    for p in &decl.params {
+        declare(&p.name, &p.ty);
+    }
+    jtlang::ast::walk_stmts(&decl.body, &mut |stmt| {
+        if let StmtKind::VarDecl { ty, name, .. } = &stmt.kind {
+            declare(name, ty);
+        }
+    });
+    (types, mixed)
 }
 
 /// The shape of one method body (before any field-initializer merge).
 fn shape_of_method(
     program: &Program,
-    table: &ClassTable,
+    keys: KeyRule,
     decl: &MethodDecl,
     mref: &MethodRef,
 ) -> MethodShape {
     let mut sh = MethodShape::default();
     let mut h = StructHasher::new();
     h.member(mref);
-    let mut locals: BTreeSet<&str> = BTreeSet::new();
     for p in &decl.params {
         h.str(&p.name);
         h.str(&p.ty.to_string());
-        locals.insert(&p.name);
         if let Type::Class(c) = &p.ty {
             sh.param_classes.insert(c.clone());
         }
+        sh.flows |= p.ty.is_reference();
     }
-    jtlang::ast::walk_stmts(&decl.body, &mut |stmt| {
-        if let StmtKind::VarDecl { name, .. } = &stmt.kind {
-            locals.insert(name);
-        }
-    });
+    let (locals, mixed) = local_types(decl);
+    sh.mixed_locals = mixed;
+    sh.flows |= !keys.typed;
     let cx = Scope {
         program,
-        table,
+        keys,
         mref,
         decl: Some(decl),
-        locals: &locals,
+        locals,
+        initializer: false,
     };
     blind_block(&decl.body, &cx, &mut h, &mut sh);
     sh.fp = h.finish();
@@ -599,9 +924,15 @@ fn shape_of_method(
 }
 
 /// The shape contribution of one class's field initializers (`None`
-/// when it has none). The fingerprint and facts are merged into the
-/// class's arity-0 constructor entry by [`merge_inits`].
-fn init_shape(class: &ClassDecl, program: &Program, table: &ClassTable) -> Option<(Fp, MethodShape)> {
+/// when it has none), read in the class's arity-0 constructor `ctor`
+/// (`None`: synthetic). The fingerprint and facts are merged into that
+/// constructor's entry by [`merge_inits`].
+fn init_shape(
+    class: &ClassDecl,
+    program: &Program,
+    keys: KeyRule,
+    ctor: Option<&MethodDecl>,
+) -> Option<(Fp, MethodShape)> {
     let inits: Vec<(&str, &Expr)> = class
         .fields
         .iter()
@@ -610,19 +941,25 @@ fn init_shape(class: &ClassDecl, program: &Program, table: &ClassTable) -> Optio
     if inits.is_empty() {
         return None;
     }
-    let ctor = MethodRef::ctor(&class.name, 0);
+    let mref = MethodRef::ctor(&class.name, 0);
+    // The relation evaluates initializers in the constructor, so a
+    // name it declares reads its local (and marks the shape mixed).
     let cx = Scope {
         program,
-        table,
-        mref: &ctor,
-        decl: crate::decl_of(program, &ctor).map(|(_, d)| d),
-        locals: &BTreeSet::new(),
+        keys,
+        mref: &mref,
+        decl: ctor,
+        locals: ctor.map(|d| local_types(d).0).unwrap_or_default(),
+        initializer: true,
     };
     let mut h = StructHasher::new();
-    let mut extra = MethodShape::default();
+    let mut extra = MethodShape {
+        flows: true,
+        ..MethodShape::default()
+    };
     for (name, init) in inits {
         h.str(name);
-        extra.fields.insert(name.to_string());
+        extra.fields.extend(keys.field(Some(&class.name), name));
         blind_expr(init, &cx, &mut h, &mut extra);
     }
     Some((h.finish(), extra))
@@ -637,54 +974,120 @@ fn merge_inits(entry: &mut MethodShape, inits_fp: Fp, extra: MethodShape) {
     entry.callees.extend(extra.callees);
     entry.fields.extend(extra.fields);
     entry.alloc_classes.extend(extra.alloc_classes);
+    entry.mixed_locals |= extra.mixed_locals;
+    entry.flows |= extra.flows;
 }
 
-/// Recovers the allocation-site class set and the uncalled set from a
-/// shape map, without re-walking any method body. Equivalent to the
-/// classes of [`pointsto::collect_sites`] and to
-/// [`pointsto::uncalled_methods`]: shape
-/// extraction records the classes of exactly the sites those walks
-/// visit (bodies plus field initializers), and `body_called` records
-/// exactly the body call edges the uncalled walk resolves.
-fn derive_sites_uncalled(
-    shapes: &BTreeMap<MethodRef, MethodShape>,
-    ix: &ProgramIndex,
-) -> (BTreeSet<String>, BTreeSet<MethodRef>) {
-    let mut sites: BTreeSet<String> = BTreeSet::new();
-    let mut called: BTreeSet<&MethodRef> = BTreeSet::new();
-    for s in shapes.values() {
-        sites.extend(s.alloc_classes.iter().cloned());
-        called.extend(s.body_called.iter());
-    }
-    let uncalled = ix
-        .methods
-        .keys()
-        .filter(|m| !called.contains(m))
-        .cloned()
-        .collect();
-    (sites, uncalled)
-}
-
-/// What a shape walk resolves calls and names against: the walked
-/// member (`decl` is `None` for a synthetic constructor's field
-/// initializers) and its parameter and local names.
+/// What a shape walk resolves calls, names, and static types against:
+/// the walked member (`decl` is `None` for a synthetic constructor's
+/// field initializers) and its parameter and local types.
 struct Scope<'a> {
     program: &'a Program,
-    table: &'a ClassTable,
+    keys: KeyRule<'a>,
     mref: &'a MethodRef,
     decl: Option<&'a MethodDecl>,
-    locals: &'a BTreeSet<&'a str>,
+    locals: BTreeMap<&'a str, &'a Type>,
+    /// Walking field initializers.
+    initializer: bool,
 }
 
-fn blind_block(block: &Block, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShape) {
+/// A static type as far as heap keys need it, borrowed from the
+/// program or the class table.
+#[derive(Clone, Copy)]
+enum StaticTy<'a> {
+    Of(&'a Type),
+    Class(&'a str),
+    ArrayOf(&'a Type),
+    Unknown,
+}
+
+impl<'a> StaticTy<'a> {
+    fn class(self) -> Option<&'a str> {
+        match self {
+            StaticTy::Of(Type::Class(c)) => Some(c.as_str()),
+            StaticTy::Class(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn elem(self) -> Option<&'a Type> {
+        match self {
+            StaticTy::Of(Type::Array(e)) => Some(e.as_ref()),
+            StaticTy::ArrayOf(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> Scope<'a> {
+    /// Marks `sh` as deriving facts unless the value `e` moves is
+    /// provably primitive.
+    fn moves(&self, e: &'a Expr, sh: &mut MethodShape) {
+        let primitive = match &e.kind {
+            ExprKind::Int(_)
+            | ExprKind::Bool(_)
+            | ExprKind::Unary { .. }
+            | ExprKind::Binary { .. }
+            | ExprKind::Length { .. } => true,
+            ExprKind::Var(_) | ExprKind::Field { .. } | ExprKind::Index { .. } | ExprKind::Call { .. } => {
+                matches!(self.type_of(e), StaticTy::Of(t) if !t.is_reference())
+            }
+            _ => false,
+        };
+        sh.flows |= !primitive;
+    }
+
+    /// The static type of `e`, by the type checker's rules with every
+    /// local in scope — what [`jtlang::types::type_of_expr`] gives,
+    /// without building a checker per access.
+    fn type_of(&self, e: &'a Expr) -> StaticTy<'a> {
+        let table = self.keys.table;
+        let field = |class: Option<&str>, name: &str| {
+            class
+                .and_then(|c| table.field_of(c, name))
+                .map_or(StaticTy::Unknown, |(_, f)| StaticTy::Of(&f.ty))
+        };
+        match &e.kind {
+            ExprKind::This => StaticTy::Class(&self.mref.class),
+            ExprKind::Var(name) => match self.locals.get(name.as_str()) {
+                Some(ty) => StaticTy::Of(ty),
+                None => field(Some(&self.mref.class), name),
+            },
+            ExprKind::Field { object, name } => field(self.type_of(object).class(), name),
+            ExprKind::Index { array, .. } => self.type_of(array).elem().map_or(StaticTy::Unknown, StaticTy::Of),
+            ExprKind::Call {
+                receiver, method, ..
+            } => {
+                let class = match receiver {
+                    None => Some(self.mref.class.as_str()),
+                    Some(r) => self.type_of(r).class(),
+                };
+                class
+                    .and_then(|c| table.method_of(c, method))
+                    .and_then(|(_, sig)| sig.ret.as_ref())
+                    .map_or(StaticTy::Unknown, StaticTy::Of)
+            }
+            ExprKind::NewObject { class, .. } => StaticTy::Class(class),
+            ExprKind::NewArray { elem, .. } => StaticTy::ArrayOf(elem),
+            _ => StaticTy::Unknown,
+        }
+    }
+}
+
+fn blind_block<'a>(block: &'a Block, cx: &Scope<'a>, h: &mut StructHasher, sh: &mut MethodShape) {
     h.u64(block.stmts.len() as u64);
     for stmt in &block.stmts {
         blind_stmt(stmt, cx, h, sh);
     }
 }
 
-fn blind_stmt(stmt: &jtlang::ast::Stmt, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShape) {
-    let e = |expr: &Expr, h: &mut StructHasher, sh: &mut MethodShape| {
+fn blind_stmt<'a>(
+    stmt: &'a jtlang::ast::Stmt,
+    cx: &Scope<'a>,
+    h: &mut StructHasher,
+    sh: &mut MethodShape,
+) {
+    let e = |expr: &'a Expr, h: &mut StructHasher, sh: &mut MethodShape| {
         blind_expr(expr, cx, h, sh);
     };
     match &stmt.kind {
@@ -694,23 +1097,15 @@ fn blind_stmt(stmt: &jtlang::ast::Stmt, cx: &Scope, h: &mut StructHasher, sh: &m
             h.str(name);
             if let Some(init) = init {
                 h.tag(1);
+                cx.moves(init, sh);
                 e(init, h, sh);
             }
         }
         StmtKind::Assign { target, op, value } => {
             h.tag(1);
-            h.str(&format!("{op:?}"));
-            // An assignment to a bare non-local name or an index is a
-            // field/element write.
-            match &target.kind {
-                ExprKind::Var(name) if !cx.locals.contains(name.as_str()) => {
-                    sh.fields.insert(name.clone());
-                }
-                ExprKind::Index { .. } => {
-                    sh.fields.insert(pointsto::ELEMS.to_string());
-                }
-                _ => {}
-            }
+            h.tag(*op as u8);
+            cx.moves(value, sh);
+            // The target's walk records the field or element it writes.
             e(target, h, sh);
             e(value, h, sh);
         }
@@ -766,6 +1161,7 @@ fn blind_stmt(stmt: &jtlang::ast::Stmt, cx: &Scope, h: &mut StructHasher, sh: &m
             h.tag(7);
             if let Some(expr) = expr {
                 h.tag(1);
+                cx.moves(expr, sh);
                 e(expr, h, sh);
             }
         }
@@ -778,8 +1174,8 @@ fn blind_stmt(stmt: &jtlang::ast::Stmt, cx: &Scope, h: &mut StructHasher, sh: &m
     }
 }
 
-fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShape) {
-    let e = |expr: &Expr, h: &mut StructHasher, sh: &mut MethodShape| {
+fn blind_expr<'a>(expr: &'a Expr, cx: &Scope<'a>, h: &mut StructHasher, sh: &mut MethodShape) {
+    let e = |expr: &'a Expr, h: &mut StructHasher, sh: &mut MethodShape| {
         blind_expr(expr, cx, h, sh);
     };
     match &expr.kind {
@@ -791,19 +1187,22 @@ fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShap
         ExprKind::Var(name) => {
             h.tag(4);
             h.str(name);
-            if !cx.locals.contains(name.as_str()) {
-                sh.fields.insert(name.clone());
+            if cx.locals.contains_key(name.as_str()) {
+                sh.mixed_locals |= cx.initializer;
+            } else {
+                sh.fields.extend(cx.keys.field(Some(&cx.mref.class), name));
             }
         }
         ExprKind::Field { object, name } => {
             h.tag(5);
             h.str(name);
-            sh.fields.insert(name.clone());
+            sh.fields
+                .extend(cx.keys.field(cx.type_of(object).class(), name));
             e(object, h, sh);
         }
         ExprKind::Index { array, index } => {
             h.tag(6);
-            sh.fields.insert(pointsto::ELEMS.to_string());
+            sh.fields.extend(cx.keys.elems(cx.type_of(array).elem()));
             e(array, h, sh);
             e(index, h, sh);
         }
@@ -813,12 +1212,12 @@ fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShap
         }
         ExprKind::Unary { op, expr } => {
             h.tag(8);
-            h.str(&format!("{op:?}"));
+            h.tag(*op as u8);
             e(expr, h, sh);
         }
         ExprKind::Binary { op, lhs, rhs } => {
             h.tag(9);
-            h.str(&format!("{op:?}"));
+            h.tag(*op as u8);
             e(lhs, h, sh);
             e(rhs, h, sh);
         }
@@ -831,7 +1230,7 @@ fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShap
             h.str(method);
             let target = pointsto::resolve_call(
                 cx.program,
-                cx.table,
+                cx.keys.table,
                 cx.mref,
                 cx.decl,
                 receiver.as_deref(),
@@ -843,6 +1242,7 @@ fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShap
                 }
                 Some(pointsto::CallTarget::Builtin(_, Some(ty))) if ty.is_reference() => {
                     sh.alloc_classes.insert(ty.to_string());
+                    sh.flows = true;
                 }
                 _ => {}
             }
@@ -852,6 +1252,7 @@ fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShap
             }
             h.u64(args.len() as u64);
             for a in args {
+                cx.moves(a, sh);
                 e(a, h, sh);
             }
         }
@@ -860,6 +1261,7 @@ fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShap
             h.str(class);
             sh.alloc_classes.insert(class.clone());
             sh.callees.insert(MethodRef::ctor(class, args.len()));
+            sh.flows = true;
             h.u64(args.len() as u64);
             for a in args {
                 e(a, h, sh);
@@ -870,6 +1272,7 @@ fn blind_expr(expr: &Expr, cx: &Scope, h: &mut StructHasher, sh: &mut MethodShap
             h.str(&elem.to_string());
             sh.alloc_classes
                 .insert(elem.clone().array_of().to_string());
+            sh.flows = true;
             e(len, h, sh);
         }
     }
@@ -881,24 +1284,46 @@ mod tests {
     use crate::frontend;
 
     /// Extracts the constraint shape of every method (constructors absorb
-    /// their class's field initializers) by walking the whole program: the
-    /// reference the cached, incrementally extracted shapes must equal.
+    /// their class's field initializers) by walking the whole program
+    /// with typed keys: the reference the cached, incrementally
+    /// extracted shapes must equal.
     fn extract_shapes(program: &Program, table: &ClassTable) -> BTreeMap<MethodRef, MethodShape> {
+        let keys = KeyRule { table, typed: true };
         let mut out: BTreeMap<MethodRef, MethodShape> = BTreeMap::new();
         for (_, decl, mref) in crate::each_method(program) {
-            let sh = shape_of_method(program, table, decl, &mref);
+            let sh = shape_of_method(program, keys, decl, &mref);
             out.insert(mref, sh);
         }
         for class in &program.classes {
-            if let Some((inits_fp, extra)) = init_shape(class, program, table) {
-                let entry = out.entry(MethodRef::ctor(&class.name, 0)).or_default();
-                merge_inits(entry, inits_fp, extra);
+            let ctor = MethodRef::ctor(&class.name, 0);
+            let decl = crate::decl_of(program, &ctor).map(|(_, d)| d);
+            if let Some((inits_fp, extra)) = init_shape(class, program, keys, decl) {
+                merge_inits(out.entry(ctor).or_default(), inits_fp, extra);
             }
         }
         out
     }
 
-    fn check_delta(src_a: &str, src_b: &str) -> (DeltaOutcome, PointsTo, PointsTo) {
+    /// The uncalled set folded out of `shapes`: the indexed methods no
+    /// body calls.
+    fn uncalled_of(
+        shapes: &BTreeMap<MethodRef, MethodShape>,
+        ix: &ProgramIndex,
+    ) -> BTreeSet<MethodRef> {
+        let index = ShapeIndex::of(shapes);
+        ix.methods
+            .keys()
+            .filter(|m| !index.calls.contains_key(*m))
+            .cloned()
+            .collect()
+    }
+
+    /// The cache's state after its last update.
+    fn state(cache: &PtCache) -> &CachedPt {
+        cache.state.as_ref().expect("state kept")
+    }
+
+    fn check_delta(src_a: &str, src_b: &str) -> (DeltaOutcome, Arc<PointsTo>, PointsTo) {
         let (p1, t1) = frontend(src_a).unwrap();
         let (p2, t2) = frontend(src_b).unwrap();
         let ix1 = ProgramIndex::build(&p1, &t1);
@@ -1086,14 +1511,31 @@ mod tests {
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
         cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
-        let (_, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
+        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
         assert!(!matches!(outcome.path, DeltaPath::Cold(_)));
+        let cold = pointsto::analyze_k(&p2, &t2, pointsto::DEFAULT_K);
+        assert_eq!(warm.locals, cold.locals);
         // After the incremental pass the cached syntactic facts must be
         // indistinguishable from a from-scratch extraction.
-        let st = cache.state.as_ref().expect("state kept");
+        let st = state(&cache);
         assert_eq!(st.shapes, extract_shapes(&p2, &t2));
-        assert_eq!(st.site_classes, pointsto::site_classes(&p2, &t2));
+        let site_classes: BTreeSet<String> = st.index.allocs.keys().cloned().collect();
+        assert_eq!(site_classes, pointsto::site_classes(&p2, &t2));
         assert_eq!(st.uncalled, pointsto::uncalled_methods(&p2, &t2));
+        assert_eq!(st.uncalled, uncalled_of(&st.shapes, &ix2));
+        let render = |sites: Vec<Site>| {
+            let mut lines: Vec<String> = sites.iter().map(|s| format!("{s:?}")).collect();
+            lines.sort();
+            lines
+        };
+        assert_eq!(
+            render(st.revision_sites(&p2, &t2, &ix2)),
+            render(pointsto::collect_sites(&p2, &t2))
+        );
+        let index = ShapeIndex::of(&st.shapes);
+        assert_eq!(st.index.touchers, index.touchers);
+        assert_eq!(st.index.callers, index.callers);
+        assert_eq!(st.index.calls, index.calls);
         assert_eq!(
             st.mkeys,
             ix2.methods.iter().map(|(m, (fp, _))| (m.clone(), *fp)).collect()
@@ -1115,7 +1557,7 @@ mod tests {
         // key map must absorb the new fingerprint so the next no-op run
         // re-extracts nothing.
         assert_eq!(outcome.path, DeltaPath::Rebase);
-        let st = cache.state.as_ref().expect("state kept");
+        let st = state(&cache);
         assert_eq!(st.shapes, extract_shapes(&p2, &t2));
         assert_eq!(
             st.mkeys,
@@ -1147,7 +1589,8 @@ mod tests {
         let (p, t) = frontend(src).unwrap();
         let ix = ProgramIndex::build(&p, &t);
         let shapes = extract_shapes(&p, &t);
-        let (sites, uncalled) = derive_sites_uncalled(&shapes, &ix);
+        let sites: BTreeSet<String> = ShapeIndex::of(&shapes).allocs.into_keys().collect();
+        let uncalled = uncalled_of(&shapes, &ix);
         assert_eq!(sites, pointsto::site_classes(&p, &t));
         assert_eq!(uncalled, pointsto::uncalled_methods(&p, &t));
         // Helper() is invoked only from a field initializer; the
@@ -1377,6 +1820,227 @@ mod tests {
             (1..=cold.passes()).contains(&delta.passes()),
             "{}",
             delta.passes()
+        );
+    }
+
+    /// Two unrelated holders, each with a field named `slot` of its own
+    /// type, and a `Main` class for each.
+    const SAME_NAME: &str = "class Item { public int v; Item() { v = 0; } }
+         class Tag { public int w; Tag() { w = 0; } }
+         class A { private Item slot; A() { slot = new Item(); } Item get() { return slot; } }
+         class B { private Tag slot; B() { slot = new Tag(); } Tag get() { return slot; } }
+         class MainA { public int demo() { A a = new A(); Item i = a.get(); Item k = i; return 0; } }
+         class MainB { public int demo() { B b = new B(); Tag t = b.get(); Tag k = t; return 0; } }";
+
+    #[test]
+    fn a_field_name_shared_by_unrelated_classes_taints_one_owner() {
+        let edited = SAME_NAME.replace(
+            "Item get() { return slot; }",
+            "Item get() { Item x = slot; return x; }",
+        );
+        let (outcome, ..) = check_delta(SAME_NAME, &edited);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        // `A.get`, its caller `MainA.demo`, and `A.<init>/0` (through
+        // `A.slot` and the allocation of an `A`); `B`'s touchers of its
+        // own `slot` stay out, and `Item.<init>/0` derives nothing.
+        assert_eq!(outcome.tainted, 3, "{outcome:?}");
+        assert_eq!(outcome.taint_fields, 1, "{outcome:?}");
+    }
+
+    #[test]
+    fn an_inherited_field_is_one_key_through_either_static_type() {
+        let src = "class Item { public int v; Item() { v = 0; } }
+             class Base { public Item it; Base() { it = null; } }
+             class Sub extends Base { Sub() { it = null; } }
+             class Writer { public int go(Sub s) { s.it = new Item(); return 0; } }
+             class Reader { public int look(Base b) { Item x = b.it; Item y = x; return 0; } }
+             class Main {
+                 public int demo() {
+                     Sub s = new Sub();
+                     Item spare = new Item();
+                     Writer w = new Writer();
+                     Reader r = new Reader();
+                     return w.go(s) + r.look(s);
+                 }
+             }";
+        // The write goes through `Sub`, the read through `Base`: both
+        // resolve to `Base.it`, so dropping the write re-derives the read.
+        let edited = src.replace("s.it = new Item();", "s.it = null;");
+        let (outcome, warm, _) = check_delta(src, &edited);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        assert!(outcome.retracted > 0, "{outcome:?}");
+        assert_eq!(warm.objects().filter(|o| o.class == "Item").count(), 1);
+        let (outcome, ..) = check_delta(&edited, src);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+    }
+
+    #[test]
+    fn reference_array_elements_are_keyed_and_int_arrays_are_not() {
+        let src = "class Item { public int v; Item() { v = 0; } }
+             class P {
+                 private Item[] arr;
+                 P() { arr = new Item[2]; }
+                 public int put() { arr[0] = new Item(); return 0; }
+                 public Item first() { return arr[0]; }
+             }
+             class Q {
+                 private int[] arr;
+                 Q() { arr = new int[2]; }
+                 public int bump() { arr[0] = 5; return arr[0]; }
+                 public int sum() { int s = arr[0] + arr[1]; return s; }
+             }
+             class MainP { public int demo() { P p = new P(); Item i = p.first(); Item k = i; return p.put(); } }
+             class MainQ { public int demo() { Q q = new Q(); return q.bump() + q.sum(); } }";
+        let edited = src.replace(
+            "arr[0] = new Item(); return 0;",
+            "arr[1] = new Item(); arr[0] = arr[1]; return 0;",
+        );
+        let (outcome, ..) = check_delta(src, &edited);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        // `P.put`, `P.first`, `P.<init>/0` and `MainP.demo`; no method
+        // of `Q` moves a reference, and `int[]` elements have no key.
+        assert_eq!(outcome.tainted, 4, "{outcome:?}");
+        let (outcome, ..) = check_delta(&edited, src);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+    }
+
+    #[test]
+    fn an_unresolved_owner_keys_the_field_of_every_class() {
+        let (p, t) = frontend(SAME_NAME).unwrap();
+        let keys = KeyRule {
+            table: &t,
+            typed: true,
+        };
+        let wild = keys.field(None, "slot").unwrap();
+        assert_eq!(wild, HeapKey::any("slot"));
+        let a = keys.field(Some("A"), "slot").unwrap();
+        let b = keys.field(Some("B"), "slot").unwrap();
+        assert_eq!(a.owner.as_deref(), Some("A"));
+        assert!(!a.overlaps(&t, &b));
+        assert!(wild.overlaps(&t, &a) && wild.overlaps(&t, &b));
+        assert!(wild.covers(&t, "B", "slot") && !a.covers(&t, "B", "slot"));
+        // Primitive fields and elements have no key.
+        assert_eq!(keys.field(Some("Item"), "v"), None);
+        assert_eq!(keys.elems(Some(&Type::Int)), None);
+        assert_eq!(keys.elems(None), Some(HeapKey::any(pointsto::ELEMS)));
+        // Clearing the wildcard clears both holders' slots.
+        let mut pt = pointsto::analyze(&p, &t);
+        let before = pt.fact_pairs();
+        let removed = pt.retract_fields(&BTreeSet::from([wild]), &t);
+        assert_eq!(removed, 2);
+        assert_eq!(pt.fact_pairs(), before - 2);
+    }
+
+    #[test]
+    fn a_hidden_field_keys_every_access_by_name() {
+        // `Sub.it` hides `Base.it`: the heap shares one slot between
+        // them, so keys fall back to names and the delta stays exact.
+        let src = "class Item { public int v; Item() { v = 0; } }
+             class Tag { public int w; Tag() { w = 0; } }
+             class Base { public Item it; Base() { it = new Item(); } }
+             class Sub extends Base { public Tag it; Sub() { it = new Tag(); } }
+             class Main {
+                 public int demo() {
+                     Sub s = new Sub();
+                     Tag t = s.it;
+                     Tag k = t;
+                     return 0;
+                 }
+             }";
+        let edited = src.replace("Tag k = t;", "Tag k = s.it;");
+        let (outcome, ..) = check_delta(src, &edited);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+        let (p, t) = frontend(&edited).unwrap();
+        let mut cache = PtCache::default();
+        cache.update(&p, &t, pointsto::DEFAULT_K, &ProgramIndex::build(&p, &t));
+        let st = state(&cache);
+        assert!(st.hides_fields && !st.typed);
+        assert!(st.shapes.values().all(|s| s.fields.iter().all(|k| k.owner.is_none())));
+    }
+
+    #[test]
+    fn a_local_given_two_types_switches_keys_to_names_and_back() {
+        let mixed = BASE.replace(
+            "Item keep = i;",
+            "Item keep = i; if (keep == null) { Box keep = b; }",
+        );
+        let (outcome, ..) = check_delta(BASE, &mixed);
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::KeyingChanged));
+        let (outcome, ..) = check_delta(&mixed, BASE);
+        assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::KeyingChanged));
+        // Within the by-name regime a further edit takes the delta path.
+        let further = mixed.replace("Item i = b.get();", "Item i = b.get(); Item j = i;");
+        let (outcome, ..) = check_delta(&mixed, &further);
+        assert_eq!(outcome.path, DeltaPath::Delta);
+    }
+
+    #[test]
+    fn spliced_structural_edits_read_the_index_journal() {
+        let cfg = jtlang::corpus::GenConfig::default();
+        let mut text = jtlang::corpus::generate(&cfg);
+        let mut program = jtlang::parse(&text).unwrap();
+        let table = jtlang::resolve::resolve(&program).unwrap();
+        let mut ix = ProgramIndex::build(&program, &table);
+        let mut cache = PtCache::default();
+        cache.update(&program, &table, pointsto::DEFAULT_K, &ix);
+        // Each edit prepends a statement to one method's body, or (with
+        // no header) removes the statement again.
+        let edits = [
+            ("class G1 {", "    int m0(int n) {\n", "        acc = acc + m1(n);\n"),
+            ("class G2 {", "    int m3(int n) {\n", "        buf = new int[8];\n"),
+            ("class G1 {", "", "        acc = acc + m1(n);\n"),
+        ];
+        for (class, header, stmt) in edits {
+            let at = text.find(class).unwrap();
+            let new = if header.is_empty() {
+                text.replacen(stmt, "", 1)
+            } else {
+                let at = at + text[at..].find(header).unwrap() + header.len();
+                format!("{}{stmt}{}", &text[..at], &text[at..])
+            };
+            let Ok(jtlang::reparse::Reparse::Spliced(splice)) =
+                jtlang::reparse(&mut program, &text, &new)
+            else {
+                panic!("a one-method edit splices");
+            };
+            text = new;
+            let spliced: Vec<_> = splice.iter().map(|s| s.pos).collect();
+            let before = ix.stamp();
+            ix.update(&program, &table, Some(&spliced));
+            assert_eq!(ix.changed_since(before).map(<[MethodRef]>::len), Some(spliced.len()));
+            let (warm, outcome) = cache.update(&program, &table, pointsto::DEFAULT_K, &ix);
+            assert!(!matches!(outcome.path, DeltaPath::Cold(_)), "{outcome:?}");
+            let cold = pointsto::analyze_k(&program, &table, pointsto::DEFAULT_K);
+            assert!(warm.same_relation(&cold), "{outcome:?}");
+            warm.check_post_fixpoint(&program, &table).unwrap();
+            assert!(outcome.tainted <= 2, "{outcome:?}");
+            let st = state(&cache);
+            assert_eq!(st.shapes, extract_shapes(&program, &table));
+            assert_eq!(st.uncalled, pointsto::uncalled_methods(&program, &table));
+        }
+        // A full build forgets the journal: the next update compares keys.
+        let stamp = ix.stamp();
+        ix.update(&program, &table, None);
+        assert_eq!(ix.changed_since(stamp), None);
+        assert_eq!(ix.changed_since(ix.stamp()), Some(&[][..]));
+    }
+
+    #[test]
+    fn reordered_classes_keep_the_cold_site_order() {
+        let item = "class Item { public int v; Item() { v = 0; } }";
+        let reordered = format!("{}\n{item}", BASE.replacen(item, "", 1));
+        let (outcome, ..) = check_delta(BASE, &reordered);
+        assert!(!matches!(outcome.path, DeltaPath::Cold(_)), "{outcome:?}");
+        let (p1, t1) = frontend(BASE).unwrap();
+        let (p2, t2) = frontend(&reordered).unwrap();
+        let ix2 = ProgramIndex::build(&p2, &t2);
+        let mut cache = PtCache::default();
+        cache.update(&p1, &t1, pointsto::DEFAULT_K, &ProgramIndex::build(&p1, &t1));
+        cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
+        let render = |sites: Vec<Site>| format!("{sites:?}");
+        assert_eq!(
+            render(state(&cache).revision_sites(&p2, &t2, &ix2)),
+            render(pointsto::collect_sites(&p2, &t2))
         );
     }
 }

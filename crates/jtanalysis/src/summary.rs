@@ -48,6 +48,7 @@ use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
 use jtlang::ast::{AssignOp, Type};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Cap on fixpoint iterations over one cyclic SCC.
 pub const MAX_SCC_PASSES: usize = 8;
@@ -96,8 +97,9 @@ pub struct AliasLeak {
 pub struct SummaryReport {
     /// Per-method summaries.
     pub methods: BTreeMap<MethodRef, MethodSummary>,
-    /// The shared whole-program points-to relation.
-    pub pointsto: PointsTo,
+    /// The shared whole-program points-to relation (shared with the
+    /// incremental database's delta cache, not copied into the report).
+    pub pointsto: Arc<PointsTo>,
     /// Number of call-graph SCCs processed.
     pub sccs: usize,
     /// Size of the largest SCC.
@@ -168,7 +170,7 @@ pub fn analyze_with_bounds_k(
         report.methods.insert(mref, MethodSummary { purity, escape });
     }
 
-    let pt = pointsto::analyze_k(program, table, k);
+    let pt = Arc::new(pointsto::analyze_k(program, table, k));
     derive_products(program, table, graph, interval_proved, pt, &mut report, None);
     report
 }
@@ -254,7 +256,7 @@ pub(crate) fn derive_products(
     table: &ClassTable,
     graph: &CallGraph,
     interval_proved: &BTreeMap<NodeId, u64>,
-    pt: PointsTo,
+    pt: Arc<PointsTo>,
     report: &mut SummaryReport,
     mut ctx: Option<&mut DemandCtx>,
 ) {

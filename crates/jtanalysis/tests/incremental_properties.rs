@@ -23,7 +23,11 @@ use proptest::prelude::*;
 /// allocate, store, and alias through the shared boxes so the
 /// points-to relation, the race tiers, and the R13/R14 products all
 /// have something to lose if invalidation under-approximates; one
-/// allocates through `Box`'s second constructor.
+/// allocates through `Box`'s second constructor. Others store a
+/// `SubBox` where a `Box` is expected, read `Tag`'s own field `it`
+/// (the name `Box` uses for an `Item`), move items through the
+/// `Item[]` field, and give one local name two types (which switches
+/// the delta's heap keys from typed to by-name and back).
 fn body(variant: u8, k: i64) -> String {
     match variant % VARIANTS {
         0 => format!("int s = {k}; for (int i = 0; i < 5; i++) {{ s = s + i; }} return s;"),
@@ -32,6 +36,10 @@ fn body(variant: u8, k: i64) -> String {
         3 => format!("b1.put(b0.get()); return {k};"),
         4 => format!("int s = 0; for (int i = 0; i < n; i++) {{ s = s + {k}; }} return s;"),
         5 => format!("Item x = new Item(); Box b = new Box(x); return b.get().v + {k};"),
+        6 => format!("SubBox s = new SubBox(); b1 = s; return s.peek().v + {k};"),
+        7 => format!("Tag t = new Tag(); Box x = t.inner(); x.put(b1.get()); return {k};"),
+        8 => format!("items[n] = b0.get(); Item z = items[0]; return z.v + {k};"),
+        9 => format!("if (n > 0) {{ Item q = b0.get(); }} Box q = b1; q.put(null); return {k};"),
         _ => format!("return {k};"),
     }
 }
@@ -53,6 +61,15 @@ fn source(bodies: &[(u8, i64)], pad: bool) -> String {
              Item get() { return it; }\n\
              void put(Item x) { it = x; }\n\
          }\n\
+         class SubBox extends Box {\n\
+             SubBox() { put(new Item()); }\n\
+             Item peek() { return get(); }\n\
+         }\n\
+         class Tag {\n\
+             private Box it;\n\
+             Tag() { it = new Box(); }\n\
+             Box inner() { return it; }\n\
+         }\n\
          class Writer extends Thread {\n\
              private Box shared;\n\
              Writer(Box b) { shared = b; }\n\
@@ -61,7 +78,8 @@ fn source(bodies: &[(u8, i64)], pad: bool) -> String {
          class Main {\n\
              private Box b0;\n\
              private Box b1;\n\
-             Main() { b0 = new Box(); b1 = new Box(); Writer w = new Writer(b0); }\n",
+             private Item[] items;\n\
+             Main() { b0 = new Box(); b1 = new Box(); items = new Item[2]; Writer w = new Writer(b0); }\n",
     );
     for (i, (variant, k)) in bodies.iter().enumerate() {
         out.push_str(&format!("    int m{i}(int n) {{ {} }}\n", body(*variant, *k)));
@@ -121,7 +139,7 @@ fn analyze_batch(src: &str) -> FlowReport {
 const METHODS: usize = 6;
 
 /// The number of distinct [`body`] variants.
-const VARIANTS: u8 = 7;
+const VARIANTS: u8 = 11;
 
 fn bodies_strategy() -> impl Strategy<Value = Vec<(u8, i64)>> {
     proptest::collection::vec((0..VARIANTS, 0i64..1000), METHODS)

@@ -129,15 +129,15 @@ impl ClassTable {
 
     /// True iff `sub` equals `ancestor` or transitively extends it.
     pub fn is_subclass_of(&self, sub: &str, ancestor: &str) -> bool {
-        let mut current = Some(sub.to_string());
+        let mut current = Some(sub);
         while let Some(name) = current {
             if name == ancestor {
                 return true;
             }
             current = self
                 .classes
-                .get(&name)
-                .and_then(|c| c.superclass.clone());
+                .get(name)
+                .and_then(|c| c.superclass.as_deref());
         }
         false
     }
