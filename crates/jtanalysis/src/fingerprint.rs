@@ -603,32 +603,6 @@ struct MemberPart {
     len_writes: LenWrites,
 }
 
-/// Which methods the splice updates since an index's last full build
-/// re-fingerprinted: what a consumer that read the index at one of
-/// those updates must look at again. History, not content: two indexes
-/// of one program are equal whatever their journals hold.
-#[derive(Debug, Clone, Default)]
-struct Journal {
-    /// Stamp of the last full build.
-    built: u64,
-    /// Each splice update since, by stamp, with the length `methods`
-    /// had after it.
-    updates: Vec<(u64, usize)>,
-    /// The re-fingerprinted methods, in update order.
-    methods: Vec<crate::MethodRef>,
-}
-
-/// Journal entries kept before the journal restarts, as after a full
-/// build (a consumer older than that compares every key instead).
-const JOURNAL_CAP: usize = 4096;
-
-/// A fresh process-wide stamp: two updates never share one, so a stamp
-/// names one state of one index even across clones.
-fn next_stamp() -> u64 {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Per-method fingerprints for a whole program, carried from revision
 /// to revision.
 ///
@@ -636,10 +610,8 @@ fn next_stamp() -> u64 {
 /// re-parsed ([`jtlang::reparse()`]); every other method keeps its
 /// fingerprint and node map, and only moves to its place in the new
 /// parse. A build from scratch is the same update with every member
-/// re-parsed. Each update gets a [`ProgramIndex::stamp`], and
-/// [`ProgramIndex::changed_since`] names the methods a splice
-/// re-fingerprinted after a given one.
-#[derive(Debug, Clone, Default)]
+/// re-parsed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramIndex {
     /// Global signature fingerprint.
     pub sig: Fp,
@@ -652,22 +624,7 @@ pub struct ProgramIndex {
     members: Vec<Vec<MemberPart>>,
     /// Every member's field-length writes, merged.
     pub(crate) field_lens: FieldLenIndex,
-    /// Stamp of the last update.
-    stamp: u64,
-    journal: Journal,
 }
-
-impl PartialEq for ProgramIndex {
-    fn eq(&self, other: &ProgramIndex) -> bool {
-        self.sig == other.sig
-            && self.class_ctx == other.class_ctx
-            && self.methods == other.methods
-            && self.members == other.members
-            && self.field_lens == other.field_lens
-    }
-}
-
-impl Eq for ProgramIndex {}
 
 impl ProgramIndex {
     /// Fingerprints every method of `program`.
@@ -691,23 +648,10 @@ impl ProgramIndex {
                 .iter()
                 .zip(&program.classes)
                 .all(|(parts, c)| parts.len() == c.ctors.len() + c.methods.len());
-        self.stamp = next_stamp();
         match spliced {
             Some(spliced) if same_shape => {
                 for pos in spliced {
-                    let mref = self.reindex(program, *pos);
-                    self.journal.methods.push(mref);
-                }
-                if self.journal.methods.len() > JOURNAL_CAP
-                    || self.journal.updates.len() >= JOURNAL_CAP
-                {
-                    self.journal = Journal {
-                        built: self.stamp,
-                        ..Journal::default()
-                    };
-                } else {
-                    let len = self.journal.methods.len();
-                    self.journal.updates.push((self.stamp, len));
+                    self.reindex(program, *pos);
                 }
             }
             _ => {
@@ -723,11 +667,6 @@ impl ProgramIndex {
                         .iter()
                         .map(|c| vec![MemberPart::default(); c.ctors.len() + c.methods.len()])
                         .collect(),
-                    stamp: self.stamp,
-                    journal: Journal {
-                        built: self.stamp,
-                        ..Journal::default()
-                    },
                     ..ProgramIndex::default()
                 };
                 for (class, c) in program.classes.iter().enumerate() {
@@ -746,8 +685,8 @@ impl ProgramIndex {
         }
     }
 
-    /// Re-fingerprints the member at `pos`, returning its reference.
-    fn reindex(&mut self, program: &Program, pos: MemberPos) -> crate::MethodRef {
+    /// Re-fingerprints the member at `pos`.
+    fn reindex(&mut self, program: &Program, pos: MemberPos) {
         let class = &program.classes[pos.class];
         let decl = pos.decl(program);
         let fp = method_fp(decl);
@@ -768,30 +707,7 @@ impl ProgramIndex {
         } else {
             crate::MethodRef::method(&class.name, &decl.name)
         };
-        self.methods.insert(mref.clone(), (fp, NodeMap::build(decl)));
-        mref
-    }
-
-    /// The stamp of the last update: unique to this state of the index.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    /// The methods re-fingerprinted since the update stamped `stamp`
-    /// (possibly repeated), or `None` when that update is not in this
-    /// index's journal — the index was built afresh since, or never
-    /// had that stamp — and every key must be compared instead.
-    /// Between journaled updates only splices ran, which keep every
-    /// signature and class context.
-    pub fn changed_since(&self, stamp: u64) -> Option<&[crate::MethodRef]> {
-        let j = &self.journal;
-        let from = if stamp == j.built {
-            0
-        } else {
-            let at = j.updates.binary_search_by_key(&stamp, |&(s, _)| s).ok()?;
-            j.updates[at].1
-        };
-        Some(&j.methods[from..])
+        self.methods.insert(mref, (fp, NodeMap::build(decl)));
     }
 
     /// The cache key of a method-level query: method fingerprint

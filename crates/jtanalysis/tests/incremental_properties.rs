@@ -27,7 +27,10 @@ use proptest::prelude::*;
 /// `SubBox` where a `Box` is expected, read `Tag`'s own field `it`
 /// (the name `Box` uses for an `Item`), move items through the
 /// `Item[]` field, and give one local name two types (which switches
-/// the delta's heap keys from typed to by-name and back).
+/// the delta's heap keys from typed to by-name and back). One passes a
+/// fresh object to a receiver another class's method returns, so when
+/// `Tag` is declared after `Main` the call is reached before its
+/// receiver set fills.
 fn body(variant: u8, k: i64) -> String {
     match variant % VARIANTS {
         0 => format!("int s = {k}; for (int i = 0; i < 5; i++) {{ s = s + i; }} return s;"),
@@ -40,51 +43,68 @@ fn body(variant: u8, k: i64) -> String {
         7 => format!("Tag t = new Tag(); Box x = t.inner(); x.put(b1.get()); return {k};"),
         8 => format!("items[n] = b0.get(); Item z = items[0]; return z.v + {k};"),
         9 => format!("if (n > 0) {{ Item q = b0.get(); }} Box q = b1; q.put(null); return {k};"),
+        10 => format!("Tag t = new Tag(); t.inner().put(new Item()); return {k};"),
         _ => format!("return {k};"),
     }
 }
 
+/// The program's classes, `Main` last; [`source`] declares them in
+/// the order a property picks.
+const CLASSES: [&str; 6] = [
+    "class Item { public int v; Item() { v = 0; } }\n",
+    "class Box {\n\
+         private Item it;\n\
+         Box() { it = new Item(); }\n\
+         Box(Item seed) { it = seed; }\n\
+         Item get() { return it; }\n\
+         void put(Item x) { it = x; }\n\
+     }\n",
+    "class SubBox extends Box {\n\
+         SubBox() { put(new Item()); }\n\
+         Item peek() { return get(); }\n\
+     }\n",
+    "class Tag {\n\
+         private Box it;\n\
+         Tag() { it = new Box(); }\n\
+         Box inner() { return it; }\n\
+     }\n",
+    "class Writer extends Thread {\n\
+         private Box shared;\n\
+         Writer(Box b) { shared = b; }\n\
+         public void run() { shared.put(new Item()); }\n\
+     }\n",
+    "",
+];
+
 /// A small program with threads, aliasing, and loops whose `Main`
-/// method bodies are chosen by the property. `pad` prepends a comment
-/// line, shifting every span without changing any structure.
-fn source(bodies: &[(u8, i64)], pad: bool) -> String {
+/// method bodies are chosen by the property, its classes declared in
+/// `order` (a permutation of [`CLASSES`]' indices; the last one is
+/// `Main`). The solve visits methods in declaration order, so the order
+/// decides which methods run before their receivers' sets fill. `pad`
+/// prepends a comment line, shifting every span without changing any
+/// structure.
+fn source(bodies: &[(u8, i64)], pad: bool, order: &[usize]) -> String {
     let mut out = String::new();
     if pad {
         out.push_str("// shifted revision\n");
     }
-    out.push_str(
-        "class Item { public int v; Item() { v = 0; } }\n\
-         class Box {\n\
-             private Item it;\n\
-             Box() { it = new Item(); }\n\
-             Box(Item seed) { it = seed; }\n\
-             Item get() { return it; }\n\
-             void put(Item x) { it = x; }\n\
-         }\n\
-         class SubBox extends Box {\n\
-             SubBox() { put(new Item()); }\n\
-             Item peek() { return get(); }\n\
-         }\n\
-         class Tag {\n\
-             private Box it;\n\
-             Tag() { it = new Box(); }\n\
-             Box inner() { return it; }\n\
-         }\n\
-         class Writer extends Thread {\n\
-             private Box shared;\n\
-             Writer(Box b) { shared = b; }\n\
-             public void run() { shared.put(new Item()); }\n\
-         }\n\
-         class Main {\n\
-             private Box b0;\n\
-             private Box b1;\n\
-             private Item[] items;\n\
-             Main() { b0 = new Box(); b1 = new Box(); items = new Item[2]; Writer w = new Writer(b0); }\n",
-    );
-    for (i, (variant, k)) in bodies.iter().enumerate() {
-        out.push_str(&format!("    int m{i}(int n) {{ {} }}\n", body(*variant, *k)));
+    for &c in order {
+        if c + 1 < CLASSES.len() {
+            out.push_str(CLASSES[c]);
+            continue;
+        }
+        out.push_str(
+            "class Main {\n\
+                 private Box b0;\n\
+                 private Box b1;\n\
+                 private Item[] items;\n\
+                 Main() { b0 = new Box(); b1 = new Box(); items = new Item[2]; Writer w = new Writer(b0); }\n",
+        );
+        for (i, (variant, k)) in bodies.iter().enumerate() {
+            out.push_str(&format!("    int m{i}(int n) {{ {} }}\n", body(*variant, *k)));
+        }
+        out.push_str("}\n");
     }
-    out.push_str("}\n");
     out
 }
 
@@ -139,28 +159,45 @@ fn analyze_batch(src: &str) -> FlowReport {
 const METHODS: usize = 6;
 
 /// The number of distinct [`body`] variants.
-const VARIANTS: u8 = 11;
+const VARIANTS: u8 = 12;
 
 fn bodies_strategy() -> impl Strategy<Value = Vec<(u8, i64)>> {
     proptest::collection::vec((0..VARIANTS, 0i64..1000), METHODS)
 }
 
+/// A declaration order of [`CLASSES`]: a permutation drawn by its rank.
+fn order_strategy() -> impl Strategy<Value = Vec<usize>> {
+    (0usize..720).prop_map(|mut rank| {
+        let mut left: Vec<usize> = (0..CLASSES.len()).collect();
+        let mut order = Vec::with_capacity(left.len());
+        while !left.is_empty() {
+            order.push(left.remove(rank % left.len()));
+            rank /= left.len() + 1;
+        }
+        order
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One random edit (possibly also shifting every span): the warm
-    /// run over the edited revision must match the cold batch oracle.
+    /// One random edit (possibly also shifting every span or
+    /// reordering the classes): the warm run over the edited revision
+    /// must match the cold batch oracle.
     #[test]
     fn one_method_edit_matches_cold_batch(
         bodies in bodies_strategy(),
         edit_at in 0usize..METHODS,
         new_body in (0..VARIANTS, 0i64..1000),
         pad in any::<bool>(),
+        order in order_strategy(),
+        reorder in any::<bool>(),
+        new_order in order_strategy(),
     ) {
-        let base = source(&bodies, false);
+        let base = source(&bodies, false, &order);
         let mut edited = bodies.clone();
         edited[edit_at] = new_body;
-        let edited_src = source(&edited, pad);
+        let edited_src = source(&edited, pad, if reorder { &new_order } else { &order });
 
         let mut db = AnalysisDb::new();
         analyze_warm(&mut db, &base);
@@ -179,13 +216,14 @@ proptest! {
             (0usize..METHODS, (0..VARIANTS, 0i64..1000), any::<bool>()),
             1..4,
         ),
+        order in order_strategy(),
     ) {
         let mut db = AnalysisDb::new();
         let mut current = bodies;
-        analyze_warm(&mut db, &source(&current, false));
+        analyze_warm(&mut db, &source(&current, false, &order));
         for (edit_at, new_body, pad) in edits {
             current[edit_at] = new_body;
-            let src = source(&current, pad);
+            let src = source(&current, pad, &order);
             let (warm, p, t) = analyze_warm(&mut db, &src);
             let batch = analyze_batch(&src);
             assert_equivalent(&warm, &batch, &p, &t);
