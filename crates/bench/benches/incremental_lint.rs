@@ -201,7 +201,10 @@ fn main() {
         db.analyze(&p, &t, &g);
         black_box(db.analyze(&ps, &ts, &gs));
         let s = db.last_run();
-        assert_eq!(s.pointsto_misses, 0, "a structural edit reset points-to: {s:?}");
+        assert_eq!(
+            s.pointsto_misses, 0,
+            "a structural edit reset points-to: {s:?}"
+        );
         struct_tail_ns = struct_tail_ns.max(s.tail_ns);
         if s.pt_tainted >= struct_tainted {
             struct_tainted = s.pt_tainted;
@@ -287,7 +290,11 @@ fn main() {
         row("one_edit_constraints_added", edit_stats.pt_constraints_added as f64, "count"),
         row("warm_struct_edit_tail", struct_tail_ns as f64, "ns"),
         row("struct_edit_pt_tainted", struct_tainted as f64, "count"),
-        row("struct_edit_pt_taint_fields", struct_stats.pt_taint_fields as f64, "count"),
+        row(
+            "struct_edit_pt_taint_fields",
+            struct_stats.pt_taint_fields as f64,
+            "count",
+        ),
     ];
     // Record the run before the ratio contracts, so a run that breaks
     // one still leaves its numbers behind.

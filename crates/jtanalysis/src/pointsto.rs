@@ -694,7 +694,11 @@ impl PointsTo {
     /// every occurrence of those objects in surviving sets. Object ids
     /// are compacted afterwards; callers re-derive the retracted
     /// methods with [`Self::solve`].
-    pub(crate) fn retract_methods(&mut self, gone: &BTreeSet<MethodRef>, keys: KeyRule) -> Retraction {
+    pub(crate) fn retract_methods(
+        &mut self,
+        gone: &BTreeSet<MethodRef>,
+        keys: KeyRule,
+    ) -> Retraction {
         let deleted: BTreeSet<ObjId> = self
             .objs
             .iter()
@@ -707,7 +711,11 @@ impl PointsTo {
     /// Deletes the summary objects of `classes` (created on demand for
     /// parameter classes of uncalled methods — an uncalled→called flip
     /// makes them stale) and every fact mentioning them.
-    pub(crate) fn retract_summaries(&mut self, classes: &BTreeSet<String>, keys: KeyRule) -> Retraction {
+    pub(crate) fn retract_summaries(
+        &mut self,
+        classes: &BTreeSet<String>,
+        keys: KeyRule,
+    ) -> Retraction {
         let deleted: BTreeSet<ObjId> = classes
             .iter()
             .filter_map(|c| self.summary_of_class.get(c).copied())
@@ -1097,7 +1105,10 @@ impl<'p> Members<'p> {
 /// Where `mref` is declared — its class's index, then its index among
 /// the class's constructors followed by its methods, the order of
 /// [`crate::each_method`] — with its declaration.
-pub(crate) fn member_at<'p>(program: &'p Program, mref: &MethodRef) -> Option<((usize, usize), &'p MethodDecl)> {
+pub(crate) fn member_at<'p>(
+    program: &'p Program,
+    mref: &MethodRef,
+) -> Option<((usize, usize), &'p MethodDecl)> {
     let (ci, class) = program
         .classes
         .iter()
@@ -1167,7 +1178,15 @@ pub(crate) fn method_sites(
     let mut sites = Vec::new();
     let mut index = 0;
     walk_exprs(&decl.body, &mut |e| {
-        if let Some(site) = site_at(program, table, mref, Some(decl), &mref.method, sites.len(), e) {
+        if let Some(site) = site_at(
+            program,
+            table,
+            mref,
+            Some(decl),
+            &mref.method,
+            sites.len(),
+            e,
+        ) {
             sites.push((index, site));
         }
         index += 1;
@@ -1181,7 +1200,11 @@ pub(crate) fn method_sites(
 /// sites.
 pub(crate) fn init_sites(program: &Program, table: &ClassTable) -> Vec<Site> {
     let mut sites = Vec::new();
-    for class in program.classes.iter().filter(|c| c.fields.iter().any(|f| f.init.is_some())) {
+    for class in program
+        .classes
+        .iter()
+        .filter(|c| c.fields.iter().any(|f| f.init.is_some()))
+    {
         let ctor = MethodRef::ctor(&class.name, 0);
         let decl = crate::decl_of(program, &ctor).map(|(_, d)| d);
         let mut ord = 0;
@@ -1279,7 +1302,10 @@ fn add_summary(table: &ClassTable, class: &str, pt: &mut PointsTo) -> ObjId {
 fn add_instance(table: &ClassTable, class: &str, id: ObjId, pt: &mut PointsTo) {
     let mut current = table.class(class);
     while let Some(c) = current.filter(|c| !c.is_builtin) {
-        pt.this_of_class.entry(c.name.clone()).or_default().insert(id);
+        pt.this_of_class
+            .entry(c.name.clone())
+            .or_default()
+            .insert(id);
         current = c.superclass.as_deref().and_then(|s| table.class(s));
     }
 }

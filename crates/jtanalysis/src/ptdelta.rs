@@ -401,7 +401,13 @@ impl CachedPt {
     /// Empty state for `program` and its `table` (with signature
     /// fingerprint `sig`) at depth `k`, with typed keys unless the
     /// table hides a field or `typed` says otherwise.
-    fn fresh(program: &Program, table: &ClassTable, k: usize, sig: Fp, typed: Option<bool>) -> CachedPt {
+    fn fresh(
+        program: &Program,
+        table: &ClassTable,
+        k: usize,
+        sig: Fp,
+        typed: Option<bool>,
+    ) -> CachedPt {
         let hides_fields = pointsto::hides_fields(table);
         CachedPt {
             k,
@@ -554,7 +560,12 @@ impl CachedPt {
     /// The revision's allocation and builtin sites: the cached
     /// per-method sites moved to their places in the revision, plus the
     /// field initializers' sites.
-    fn revision_sites(&self, program: &Program, table: &ClassTable, ix: &ProgramIndex) -> Vec<Site> {
+    fn revision_sites(
+        &self,
+        program: &Program,
+        table: &ClassTable,
+        ix: &ProgramIndex,
+    ) -> Vec<Site> {
         let mut out = Vec::new();
         for sites in self.sites.values() {
             let Some(map) = sites.first().and_then(|(_, s)| ix.node_map(&s.method)) else {
@@ -705,7 +716,11 @@ impl CachedPt {
 }
 
 /// Inserts `items` into `set`, queueing the new ones on `work`.
-fn grow<T: Ord + Clone>(set: &mut BTreeSet<T>, work: &mut Vec<T>, items: impl IntoIterator<Item = T>) {
+fn grow<T: Ord + Clone>(
+    set: &mut BTreeSet<T>,
+    work: &mut Vec<T>,
+    items: impl IntoIterator<Item = T>,
+) {
     for item in items {
         if set.insert(item.clone()) {
             work.push(item);
@@ -759,7 +774,11 @@ impl Closure<'_> {
         work: &mut Vec<MethodRef>,
         ms: impl IntoIterator<Item = &'m MethodRef>,
     ) {
-        grow(tainted, work, ms.into_iter().filter(|m| self.flows(m)).cloned());
+        grow(
+            tainted,
+            work,
+            ms.into_iter().filter(|m| self.flows(m)).cloned(),
+        );
     }
 
     /// Grows `tainted` (and the heap keys to clear, `fields`) to a
@@ -794,10 +813,12 @@ impl Closure<'_> {
                                 if let Some(ms) = ix.by_class.get(up) {
                                     self.taint(tainted, &mut work, ms);
                                 }
-                                let Some(ms) = ix.by_param.get(up) else { continue };
-                                let ext = ms
-                                    .iter()
-                                    .filter(|m| self.uncalled.contains(*m) || self.flipped.contains(*m));
+                                let Some(ms) = ix.by_param.get(up) else {
+                                    continue;
+                                };
+                                let ext = ms.iter().filter(|m| {
+                                    self.uncalled.contains(*m) || self.flipped.contains(*m)
+                                });
                                 self.taint(tainted, &mut work, ext);
                             }
                         }
@@ -848,7 +869,11 @@ fn shape_of(
     if m.is_ctor && m.arity == 0 {
         if let Some(class) = program.class(&m.class) {
             if let Some((inits_fp, extra)) = init_shape(class, program, keys, decl) {
-                merge_inits(shape.get_or_insert_with(MethodShape::default), inits_fp, extra);
+                merge_inits(
+                    shape.get_or_insert_with(MethodShape::default),
+                    inits_fp,
+                    extra,
+                );
             }
         }
     }
@@ -1018,7 +1043,10 @@ impl<'a> Scope<'a> {
             | ExprKind::Unary { .. }
             | ExprKind::Binary { .. }
             | ExprKind::Length { .. } => true,
-            ExprKind::Var(_) | ExprKind::Field { .. } | ExprKind::Index { .. } | ExprKind::Call { .. } => {
+            ExprKind::Var(_)
+            | ExprKind::Field { .. }
+            | ExprKind::Index { .. }
+            | ExprKind::Call { .. } => {
                 matches!(self.type_of(e), StaticTy::Of(t) if !t.is_reference())
             }
             _ => false,
@@ -1043,7 +1071,10 @@ impl<'a> Scope<'a> {
                 None => field(Some(&self.mref.class), name),
             },
             ExprKind::Field { object, name } => field(self.type_of(object).class(), name),
-            ExprKind::Index { array, .. } => self.type_of(array).elem().map_or(StaticTy::Unknown, StaticTy::Of),
+            ExprKind::Index { array, .. } => self
+                .type_of(array)
+                .elem()
+                .map_or(StaticTy::Unknown, StaticTy::Of),
             ExprKind::Call {
                 receiver, method, ..
             } => {
@@ -1944,7 +1975,10 @@ mod tests {
         cache.update(&p, &t, pointsto::DEFAULT_K, &ProgramIndex::build(&p, &t));
         let st = state(&cache);
         assert!(st.hides_fields && !st.typed);
-        assert!(st.shapes.values().all(|s| s.fields.iter().all(|k| k.owner.is_none())));
+        assert!(st
+            .shapes
+            .values()
+            .all(|s| s.fields.iter().all(|k| k.owner.is_none())));
     }
 
     #[test]
@@ -1978,8 +2012,16 @@ mod tests {
         // Each edit prepends a statement to one method's body, or (with
         // no header) removes the statement again.
         let edits = [
-            ("class G1 {", "    int m0(int n) {\n", "        acc = acc + m1(n);\n"),
-            ("class G2 {", "    int m3(int n) {\n", "        buf = new int[8];\n"),
+            (
+                "class G1 {",
+                "    int m0(int n) {\n",
+                "        acc = acc + m1(n);\n",
+            ),
+            (
+                "class G2 {",
+                "    int m3(int n) {\n",
+                "        buf = new int[8];\n",
+            ),
             ("class G1 {", "", "        acc = acc + m1(n);\n"),
         ];
         for (class, header, stmt) in edits {
@@ -2022,7 +2064,12 @@ mod tests {
         let (p2, t2) = frontend(&reordered).unwrap();
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
-        cache.update(&p1, &t1, pointsto::DEFAULT_K, &ProgramIndex::build(&p1, &t1));
+        cache.update(
+            &p1,
+            &t1,
+            pointsto::DEFAULT_K,
+            &ProgramIndex::build(&p1, &t1),
+        );
         cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
         let render = |sites: Vec<Site>| format!("{sites:?}");
         assert_eq!(

@@ -101,7 +101,10 @@ fn source(bodies: &[(u8, i64)], pad: bool, order: &[usize]) -> String {
                  Main() { b0 = new Box(); b1 = new Box(); items = new Item[2]; Writer w = new Writer(b0); }\n",
         );
         for (i, (variant, k)) in bodies.iter().enumerate() {
-            out.push_str(&format!("    int m{i}(int n) {{ {} }}\n", body(*variant, *k)));
+            out.push_str(&format!(
+                "    int m{i}(int n) {{ {} }}\n",
+                body(*variant, *k)
+            ));
         }
         out.push_str("}\n");
     }
