@@ -1059,17 +1059,29 @@ pub fn analyze(program: &Program, table: &ClassTable) -> PointsTo {
 /// propagation loop from the empty relation, every method active.
 pub fn analyze_k(program: &Program, table: &ClassTable, k: usize) -> PointsTo {
     let sites = collect_sites(program, table);
+    solve_cold(program, table, k, &sites, &uncalled_methods(program, table))
+}
+
+/// [`analyze_k`] given the program's sites ([`collect_sites`]) and
+/// uncalled methods ([`uncalled_methods`]), which the delta cache keeps
+/// and so need not collect again when it resets.
+pub(crate) fn solve_cold(
+    program: &Program,
+    table: &ClassTable,
+    k: usize,
+    sites: &[Site],
+    uncalled: &BTreeSet<MethodRef>,
+) -> PointsTo {
     let mut pt = PointsTo {
         k,
         site_fp_of_expr: sites.iter().map(|s| (s.expr_id, s.fp)).collect(),
         ..PointsTo::default()
     };
-    create_summaries(program, table, &sites, &mut pt);
+    create_summaries(program, table, sites, &mut pt);
     for (_, decl, mref) in crate::each_method(program) {
         pt.set_locals(&mref, Some(decl));
     }
-    let uncalled = uncalled_methods(program, table);
-    pt.solve(program, table, &sites, None, &uncalled);
+    pt.solve(program, table, sites, None, uncalled);
     pt
 }
 

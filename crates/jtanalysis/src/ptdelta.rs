@@ -384,7 +384,8 @@ impl PtCache {
             None => st.resolve(program, table, ix, sync),
         };
         let outcome = warm.unwrap_or_else(|cause| {
-            st.pt = Arc::new(pointsto::analyze_k(program, table, k));
+            let sites = st.revision_sites(program, table, ix);
+            st.pt = Arc::new(pointsto::solve_cold(program, table, k, &sites, &st.uncalled));
             DeltaOutcome {
                 path: DeltaPath::Cold(cause),
                 retracted: 0,
@@ -1349,8 +1350,10 @@ mod tests {
         let ix1 = ProgramIndex::build(&p1, &t1);
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
-        let (_, first) = cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
+        let (first_pt, first) = cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
         assert_eq!(first.path, DeltaPath::Cold(ResetCause::NoState));
+        // A reset solves from the cache's own sites and uncalled set.
+        assert!(first_pt.same_relation(&pointsto::analyze_k(&p1, &t1, pointsto::DEFAULT_K)));
         let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
         let cold = pointsto::analyze_k(&p2, &t2, pointsto::DEFAULT_K);
         assert!(
