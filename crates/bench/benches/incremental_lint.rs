@@ -190,7 +190,8 @@ fn main() {
     }
     // Warm structural edits: a statement prepended to one method adds
     // a call or an allocation, so the points-to update takes its delta
-    // path. Each edit warms a fresh database on the base corpus
+    // path (no reset, something tainted), whether or not the edit has a
+    // fact to retract. Each edit warms a fresh database on the base corpus
     // (untimed); the rows keep the slowest tail and the largest taint.
     let mut struct_tail_ns = 0u64;
     let mut struct_tainted = 0u64;
@@ -204,6 +205,10 @@ fn main() {
         assert_eq!(
             s.pointsto_misses, 0,
             "a structural edit reset points-to: {s:?}"
+        );
+        assert!(
+            s.pt_tainted > 0,
+            "a structural edit took the rebase path: {s:?}"
         );
         struct_tail_ns = struct_tail_ns.max(s.tail_ns);
         if s.pt_tainted >= struct_tainted {
