@@ -169,6 +169,13 @@ fn main() {
         noop_tail_stats.demand_misses, 0,
         "no-op revision missed demand queries: {noop_tail_stats:?}"
     );
+    assert_eq!(
+        noop_tail_stats.tail_visited,
+        0,
+        "no-op revision re-ran the tail of {} methods (causes: {})",
+        noop_tail_stats.tail_visited,
+        noop_tail_stats.tail_rerun.render()
+    );
     assert_eq!(noop_tail_stats.pt_constraints_retracted, 0, "{noop_tail_stats:?}");
     assert_eq!(noop_tail_stats.pt_constraints_added, 0, "{noop_tail_stats:?}");
     assert_eq!(noop_tail_stats.pointsto_misses, 0, "{noop_tail_stats:?}");
@@ -195,6 +202,7 @@ fn main() {
     // (untimed); the rows keep the slowest tail and the largest taint.
     let mut struct_tail_ns = 0u64;
     let mut struct_tainted = 0u64;
+    let mut struct_visited = 0u64;
     let mut struct_stats = jtanalysis::db::RunStats::default();
     for edited in structural_edits(&base_src, &cfg) {
         let (ps, ts, gs) = parse(&edited);
@@ -211,6 +219,7 @@ fn main() {
             "a structural edit took the rebase path: {s:?}"
         );
         struct_tail_ns = struct_tail_ns.max(s.tail_ns);
+        struct_visited = struct_visited.max(s.tail_visited);
         if s.pt_tainted >= struct_tainted {
             struct_tainted = s.pt_tainted;
             struct_stats = s;
@@ -267,6 +276,12 @@ fn main() {
         edit_stats.pt_constraints_added
     );
     println!(
+        "tail re-runs: one edit {} of {n_methods} methods ({}), structural edits at most \
+         {struct_visited}",
+        edit_stats.tail_visited,
+        edit_stats.tail_rerun.render()
+    );
+    println!(
         "structural edit: points-to taint at most {struct_tainted} of {n_methods} methods \
          ({} heap keys cleared, {} constraints retracted, {} added)\n",
         struct_stats.pt_taint_fields,
@@ -295,6 +310,8 @@ fn main() {
         row("one_edit_constraints_added", edit_stats.pt_constraints_added as f64, "count"),
         row("warm_struct_edit_tail", struct_tail_ns as f64, "ns"),
         row("struct_edit_pt_tainted", struct_tainted as f64, "count"),
+        row("one_edit_tail_visited", edit_stats.tail_visited as f64, "count"),
+        row("struct_edit_tail_visited", struct_visited as f64, "count"),
         row(
             "struct_edit_pt_taint_fields",
             struct_stats.pt_taint_fields as f64,
@@ -311,6 +328,18 @@ fn main() {
         struct_tainted * 8 <= n_methods as u64,
         "a structural edit tainted {struct_tainted} of {n_methods} methods (bound: 1/8): {struct_stats:?}"
     );
+    // Likewise the tail: it re-runs the edit's changed set, a count that
+    // does not move with the host.
+    for (what, visited, causes) in [
+        ("the one-method edit", edit_stats.tail_visited, edit_stats.tail_rerun),
+        ("a structural edit", struct_visited, struct_stats.tail_rerun),
+    ] {
+        assert!(
+            visited * 8 <= n_methods as u64,
+            "{what} re-ran the tail of {visited} of {n_methods} methods (bound: 1/8; causes: {})",
+            causes.render()
+        );
+    }
 
     if !smoke {
         assert!(

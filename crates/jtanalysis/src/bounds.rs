@@ -44,22 +44,7 @@ pub fn instruction_bounds_with_flow(
     table: &ClassTable,
     proved_loop_bounds: &BTreeMap<NodeId, u64>,
 ) -> BTreeMap<MethodRef, Option<u64>> {
-    instruction_bounds_seeded(program, table, proved_loop_bounds, BTreeMap::new())
-}
-
-/// [`instruction_bounds_with_flow`] with the internal memo pre-seeded.
-/// Each seed entry must equal what an unseeded run would compute for
-/// that method under the same program and proofs — the incremental
-/// database guarantees this by keying seeds on the method's call-graph
-/// component fingerprint. Only methods absent from the seed have their
-/// bodies re-walked; their callees resolve through the seed.
-pub fn instruction_bounds_seeded(
-    program: &Program,
-    table: &ClassTable,
-    proved_loop_bounds: &BTreeMap<NodeId, u64>,
-    seed: BTreeMap<MethodRef, Option<u64>>,
-) -> BTreeMap<MethodRef, Option<u64>> {
-    let mut memo: BTreeMap<MethodRef, Option<u64>> = seed;
+    let mut memo: BTreeMap<MethodRef, Option<u64>> = BTreeMap::new();
     let mut in_progress: Vec<MethodRef> = Vec::new();
     let mut bounds = BTreeMap::new();
     for (_, _, mref) in crate::each_method(program) {
@@ -68,6 +53,7 @@ pub fn instruction_bounds_seeded(
             table,
             &mref,
             proved_loop_bounds,
+            &no_seed,
             &mut memo,
             &mut in_progress,
         );
@@ -76,16 +62,55 @@ pub fn instruction_bounds_seeded(
     bounds
 }
 
+fn no_seed(_: &MethodRef) -> Option<Option<u64>> {
+    None
+}
+
+/// The bounds of `targets`, with every other method's bound taken from
+/// `seed` where it has one. A seeded bound must equal what
+/// [`instruction_bounds_with_flow`] computes for that method under the
+/// same program and proofs; the analysis tail ([`crate::demand`])
+/// seeds every method outside the targets' call-graph component and
+/// recomputes components bottom-up, so only their bodies are walked.
+pub(crate) fn bounds_of(
+    program: &Program,
+    table: &ClassTable,
+    proved_loop_bounds: &BTreeMap<NodeId, u64>,
+    targets: &[MethodRef],
+    seed: &dyn Fn(&MethodRef) -> Option<Option<u64>>,
+) -> Vec<Option<u64>> {
+    let mut memo: BTreeMap<MethodRef, Option<u64>> = BTreeMap::new();
+    let mut in_progress: Vec<MethodRef> = Vec::new();
+    targets
+        .iter()
+        .map(|m| {
+            method_bound(
+                program,
+                table,
+                m,
+                proved_loop_bounds,
+                seed,
+                &mut memo,
+                &mut in_progress,
+            )
+        })
+        .collect()
+}
+
 fn method_bound(
     program: &Program,
     table: &ClassTable,
     mref: &MethodRef,
     proved: &BTreeMap<NodeId, u64>,
+    seed: &dyn Fn(&MethodRef) -> Option<Option<u64>>,
     memo: &mut BTreeMap<MethodRef, Option<u64>>,
     in_progress: &mut Vec<MethodRef>,
 ) -> Option<u64> {
     if let Some(b) = memo.get(mref) {
         return *b;
+    }
+    if let Some(b) = seed(mref) {
+        return b;
     }
     if in_progress.contains(mref) {
         // Recursion: unbounded.
@@ -102,6 +127,7 @@ fn method_bound(
         class,
         decl,
         proved,
+        seed,
         memo,
         in_progress,
     };
@@ -129,6 +155,7 @@ struct Ctx<'a, 'p> {
     class: &'p ClassDecl,
     decl: &'p MethodDecl,
     proved: &'a BTreeMap<NodeId, u64>,
+    seed: &'a dyn Fn(&MethodRef) -> Option<Option<u64>>,
     memo: &'a mut BTreeMap<MethodRef, Option<u64>>,
     in_progress: &'a mut Vec<MethodRef>,
 }
@@ -256,6 +283,7 @@ fn nested_bound(ctx: &mut Ctx, target: &MethodRef) -> Option<u64> {
         ctx.table,
         target,
         ctx.proved,
+        ctx.seed,
         ctx.memo,
         ctx.in_progress,
     )

@@ -124,7 +124,39 @@ fn collect_calls(
     user_callees: &mut BTreeSet<MethodRef>,
     builtins: &mut BTreeSet<String>,
 ) {
-    walk_exprs(&decl.body, &mut |e| match &e.kind {
+    walk_exprs(&decl.body, &mut |e| {
+        note_call(table, class, decl, e, user_callees, builtins)
+    });
+}
+
+/// The user methods the field initializers of `class` call, typed in
+/// its constructor `ctor` as the WCET fold evaluates them: a
+/// constructor's bound includes them, though its call-graph edges do
+/// not.
+pub(crate) fn init_callees(
+    table: &ClassTable,
+    class: &ClassDecl,
+    ctor: &MethodDecl,
+) -> BTreeSet<MethodRef> {
+    let (mut user_callees, mut builtins) = (BTreeSet::new(), BTreeSet::new());
+    for init in class.fields.iter().filter_map(|f| f.init.as_ref()) {
+        walk_expr(init, &mut |e| {
+            note_call(table, class, ctor, e, &mut user_callees, &mut builtins)
+        });
+    }
+    user_callees
+}
+
+/// Records the call `e` makes, if it is one, typed in `decl`.
+fn note_call(
+    table: &ClassTable,
+    class: &ClassDecl,
+    decl: &MethodDecl,
+    e: &Expr,
+    user_callees: &mut BTreeSet<MethodRef>,
+    builtins: &mut BTreeSet<String>,
+) {
+    match &e.kind {
         ExprKind::Call {
             receiver, method, ..
         } => {
@@ -156,12 +188,12 @@ fn collect_calls(
             user_callees.insert(MethodRef::ctor(c, args.len()));
         }
         _ => {}
-    });
+    }
 }
 
 /// Iterative Tarjan SCC (same shape as the one in `asr::causality`, over
 /// plain indices).
-fn tarjan(n: usize, successors: &[Vec<usize>]) -> Vec<Vec<usize>> {
+pub(crate) fn tarjan(n: usize, successors: &[Vec<usize>]) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeData {
         index: usize,

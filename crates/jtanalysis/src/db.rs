@@ -29,26 +29,32 @@
 //!
 //! The analysis *tail* — race verdicts, R13 ownership, R14 alias
 //! leaks, call-site loop proofs, R2 loop evidence, and per-method WCET
-//! folds — runs as demand queries memoized in the demand layer: each
-//! product's span-free core is keyed by exactly the facts it cites
-//! (method keys, the signature fingerprint, the canonical points-to
-//! relation fingerprint, summary digests), so an edit whose effects
-//! don't reach a query's inputs re-serves its verdict from the memo.
-//! Only span materialization and evidence rendering re-run
-//! unconditionally — see DESIGN §8/§9 for the boundary.
+//! folds — is carried from revision to revision per method by the
+//! demand layer (`crate::demand`): each method's span-free cores stay
+//! beside the inputs they were computed from, and only the edit's
+//! changed set re-runs — a changed method key, summary hash, thread or
+//! init reach, or points-to slice, each re-run counted by its
+//! [`TailCause`]. Every other method is materialized from its cores
+//! through the revision's node maps — see DESIGN §8/§9 for the
+//! boundary.
+//!
+//! Stale entries leave the method, SCC and revision caches
+//! `KEEP_REVISIONS` revisions after the last revision that cited them;
+//! eviction visits only the entries a revision stopped citing.
 //!
 //! Metrics (with a registry attached): `jtanalysis.db.hits`, `.misses`,
 //! `.recomputed`, `.invalidated`, `.scc_hits`, `.scc_misses`,
 //! `.pointsto_hits`, `.pointsto_misses` (one per reset to the empty
 //! relation, also counted by cause as `.pointsto_reset.<cause>`),
 //! `.pt_constraints_retracted`, `.pt_constraints_added`,
-//! `.demand_hits`, `.demand_misses`, and the `jtanalysis.db.revision`
-//! gauge, alongside the same suite metrics the batch driver exported.
+//! `.demand_hits`, `.demand_misses`, `.tail_visited`,
+//! `.tail_rerun.<cause>`, and the `jtanalysis.db.revision` gauge,
+//! alongside the same suite metrics the batch driver exported.
 
 use crate::callgraph::CallGraph;
 use crate::constprop::{self, ConstpropCore};
 use crate::definite::{self, DefiniteCore};
-use crate::demand::{DemandCtx, TailMemo};
+use crate::demand::TailState;
 use crate::escape::EscapeSummary;
 use crate::fingerprint::{combine, field_lens_fp, Fp, NodeMap, ProgramIndex, StructHasher};
 use crate::interval::{self, IntervalCore};
@@ -61,11 +67,95 @@ use crate::{cfg, each_method, flow::FlowReport, MethodRef};
 use jtlang::ast::{NodeId, Program};
 use jtlang::reparse::MemberPos;
 use jtlang::resolve::ClassTable;
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Revisions an entry survives without being used before eviction.
 const KEEP_REVISIONS: u64 = 4;
+
+/// Why a carried tail result re-ran, gravest first: a result re-run for
+/// several reasons counts under the first of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TailCause {
+    /// The class signature table changed (or the tail has no carried
+    /// state): every result re-runs.
+    Signature,
+    /// The method's own key changed — its body or its class context —
+    /// or the method is new.
+    MethodKey,
+    /// A summary the result reads changed: the method's purity/escape
+    /// summary, a callee's WCET bound, the call-site-proved trips of its
+    /// loops, or the candidate table its call sites fold against.
+    Summary,
+    /// The set of thread classes reaching the method, or whether the
+    /// init phase reaches it, changed.
+    Reach,
+    /// The part of the points-to relation the result read changed.
+    PtSlice,
+}
+
+impl TailCause {
+    /// Every cause, gravest first.
+    pub const ALL: [TailCause; 5] = [
+        TailCause::Signature,
+        TailCause::MethodKey,
+        TailCause::Summary,
+        TailCause::Reach,
+        TailCause::PtSlice,
+    ];
+
+    /// The cause's name in the `jtanalysis.db.tail_rerun.<name>` metric.
+    pub fn name(self) -> &'static str {
+        match self {
+            TailCause::Signature => "signature",
+            TailCause::MethodKey => "method_key",
+            TailCause::Summary => "summary",
+            TailCause::Reach => "reach",
+            TailCause::PtSlice => "pt_slice",
+        }
+    }
+}
+
+/// Tail re-runs counted by [`TailCause`]: one per method with a re-run
+/// result (under its gravest cause), plus one per re-run field verdict
+/// or block verdict no method re-run accounts for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TailReruns {
+    counts: [u64; 5],
+}
+
+impl TailReruns {
+    /// Re-runs counted under `cause`.
+    pub fn get(&self, cause: TailCause) -> u64 {
+        self.counts[cause as usize]
+    }
+
+    pub(crate) fn add(&mut self, cause: TailCause) {
+        self.counts[cause as usize] += 1;
+    }
+
+    fn absorb(&mut self, other: &TailReruns) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
+        }
+    }
+
+    /// The non-zero counts, gravest cause first, as `cause=n` pairs
+    /// (`none` without re-runs).
+    pub fn render(&self) -> String {
+        let parts: Vec<String> = TailCause::ALL
+            .iter()
+            .filter(|c| self.get(**c) > 0)
+            .map(|c| format!("{}={}", c.name(), self.get(*c)))
+            .collect();
+        if parts.is_empty() {
+            "none".to_string()
+        } else {
+            parts.join(", ")
+        }
+    }
+}
 
 /// Per-run (and accumulated) cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,11 +190,16 @@ pub struct RunStats {
     pub pt_tainted: u64,
     /// Heap keys whose slots the points-to delta cleared.
     pub pt_taint_fields: u64,
-    /// Tail demand queries (race, R13/R14, loop-proof, WCET cores)
-    /// served from the memo.
+    /// Tail results (race, R13/R14, loop-proof, WCET cores) served
+    /// without recompute.
     pub demand_hits: u64,
-    /// Tail demand queries computed.
+    /// Tail results computed.
     pub demand_misses: u64,
+    /// Methods with a tail result re-evaluated this run: the size of
+    /// the edit's changed set (0 when nothing the tail reads changed).
+    pub tail_visited: u64,
+    /// Why the tail re-ran what it re-ran, by cause.
+    pub tail_rerun: TailReruns,
     /// Wall-clock nanoseconds spent in the analysis tail (points-to
     /// update plus demand-driven products).
     pub tail_ns: u64,
@@ -143,6 +238,8 @@ impl RunStats {
         self.pt_taint_fields += other.pt_taint_fields;
         self.demand_hits += other.demand_hits;
         self.demand_misses += other.demand_misses;
+        self.tail_visited += other.tail_visited;
+        self.tail_rerun.absorb(&other.tail_rerun);
         self.tail_ns += other.tail_ns;
         self.index_ns += other.index_ns;
         self.method_ns += other.method_ns;
@@ -288,6 +385,20 @@ fn summary_hash(p: &PuritySummary, e: &EscapeCore) -> Fp {
     h.finish()
 }
 
+/// A cache entry the last analyzed revision stopped citing, queued for
+/// eviction.
+#[derive(Debug, Clone, Copy)]
+enum Stale {
+    /// A method key: the CFG-size, definite and constant entries.
+    Method(Fp),
+    /// An interval key.
+    Interval(Fp),
+    /// An SCC summary key.
+    Scc(Fp),
+    /// A revision replay key.
+    Revision(Fp),
+}
+
 #[derive(Debug, Clone)]
 struct SccEntry {
     members: Vec<(MethodRef, PuritySummary, EscapeCore)>,
@@ -312,7 +423,7 @@ pub struct AnalysisDb {
     /// equivalent parse returns the previous report wholesale,
     /// including the per-revision products (points-to, races, WCET)
     /// that are too id-entangled for per-method caching.
-    revisions: BTreeMap<Fp, CacheSlot<FlowReport>>,
+    revisions: BTreeMap<Fp, CacheSlot<Arc<FlowReport>>>,
     cfg_sizes: BTreeMap<Fp, CacheSlot<usize>>,
     definite: BTreeMap<Fp, CacheSlot<DefiniteCore>>,
     constprop: BTreeMap<Fp, CacheSlot<ConstpropCore>>,
@@ -323,13 +434,17 @@ pub struct AnalysisDb {
     /// re-deriving only the tainted frontier of an edit
     /// ([`crate::ptdelta`]).
     ptcache: PtCache,
-    /// Demand-query memo for the analysis tail: race verdicts, R13/R14
-    /// cores, call-site loop proofs, R2 evidence, and WCET folds
-    /// ([`crate::demand`]).
-    tail: TailMemo,
+    /// The analysis tail's results, carried per method from the last
+    /// analyzed revision ([`crate::demand`]).
+    tail: TailState,
     /// `(method key, interval key)` per method at the previous revision,
     /// for the `invalidated` statistic.
     prev_keys: BTreeMap<MethodRef, (Fp, Fp)>,
+    /// The SCC keys the previous revision cited, sorted.
+    prev_sccs: Vec<Fp>,
+    /// Entries no longer cited, with the last revision that cited them,
+    /// oldest first.
+    stale: VecDeque<(u64, Stale)>,
     last: RunStats,
     total: RunStats,
 }
@@ -385,7 +500,8 @@ impl AnalysisDb {
 
     /// Analyzes one revision of the program, reusing every cache entry
     /// whose key is unchanged. The returned report is identical to what
-    /// the batch `flow::analyze` produces on the same input.
+    /// the batch `flow::analyze` produces on the same input; it is
+    /// shared with the revision replay cache, not copied into it.
     ///
     /// Every method is fingerprinted afresh: the program may differ
     /// from the last one in any way.
@@ -394,7 +510,7 @@ impl AnalysisDb {
         program: &Program,
         table: &ClassTable,
         graph: &CallGraph,
-    ) -> FlowReport {
+    ) -> Arc<FlowReport> {
         self.run(program, table, graph, None, None)
     }
 
@@ -405,7 +521,7 @@ impl AnalysisDb {
         table: &ClassTable,
         graph: &CallGraph,
         registry: &jtobs::Registry,
-    ) -> FlowReport {
+    ) -> Arc<FlowReport> {
         self.run(program, table, graph, None, Some(registry))
     }
 
@@ -423,7 +539,7 @@ impl AnalysisDb {
         graph: &CallGraph,
         spliced: &[MemberPos],
         registry: Option<&jtobs::Registry>,
-    ) -> FlowReport {
+    ) -> Arc<FlowReport> {
         self.run(program, table, graph, Some(spliced), registry)
     }
 
@@ -439,7 +555,7 @@ impl AnalysisDb {
         graph: &CallGraph,
         spliced: Option<&[MemberPos]>,
         registry: Option<&jtobs::Registry>,
-    ) -> FlowReport {
+    ) -> Arc<FlowReport> {
         let _suite_span = registry.map(|r| r.span("jtanalysis.flow"));
         let mut laps = Laps::start();
 
@@ -456,7 +572,7 @@ impl AnalysisDb {
             self.index = ix;
             let index_ns = laps.lap();
             slot.last_used = self.revision;
-            let report = slot.value.clone();
+            let report = Arc::clone(&slot.value);
             let mut stats = RunStats {
                 hits: 4 * each_method(program).count() as u64,
                 scc_hits: report.summary.sccs as u64,
@@ -497,14 +613,29 @@ impl AnalysisDb {
                 (mref, (mkey, combine(&[mkey, lens_fp])))
             })
             .collect();
+        // The previous revision's keys this one no longer cites go
+        // stale.
+        let last_cited = revision - 1;
+        let mut kept = 0;
         for (mref, (mkey, ikey)) in &keys {
             if let Some((pm, pi)) = self.prev_keys.get(mref) {
+                kept += 1;
                 if pm != mkey {
                     // cfg + definite + constprop share the method key.
                     stats.invalidated += 3;
+                    self.stale.push_back((last_cited, Stale::Method(*pm)));
                 }
                 if pi != ikey {
                     stats.invalidated += 1;
+                    self.stale.push_back((last_cited, Stale::Interval(*pi)));
+                }
+            }
+        }
+        if kept < self.prev_keys.len() {
+            for (mref, (pm, pi)) in &self.prev_keys {
+                if !keys.contains_key(mref) {
+                    self.stale.push_back((last_cited, Stale::Method(*pm)));
+                    self.stale.push_back((last_cited, Stale::Interval(*pi)));
                 }
             }
         }
@@ -582,16 +713,18 @@ impl AnalysisDb {
         stats.method_ns = laps.lap();
 
         let cond = graph.condensation();
-        report.summary = timed(registry, "summary", || {
+        let (summary, hashes) = timed(registry, "summary", || {
             self.summaries(program, table, graph, &cond, &ix, &keys, &mut stats)
         });
+        report.summary = summary;
         stats.summary_ns = laps.lap();
 
         // The analysis tail: delta-update the points-to relation, then
-        // derive every downstream product through the demand memo. The
-        // race tiers share the same relation and context.
+        // bring every downstream product to this revision from the
+        // carried tail, re-running the changed set only. The race tiers
+        // share the same relation.
         timed(registry, "tail", || {
-            let (pt, outcome) = self
+            let (pt, outcome, change) = self
                 .ptcache
                 .update(program, table, pointsto::DEFAULT_K, &ix);
             match outcome.path {
@@ -608,38 +741,42 @@ impl AnalysisDb {
             stats.pt_constraints_added += outcome.added;
             stats.pt_tainted += outcome.tainted;
             stats.pt_taint_fields += outcome.taint_fields;
-            let mut ctx = DemandCtx {
-                ix: &ix,
-                cond: &cond,
-                relation_fp: pt.relation_fp(),
-                revision,
-                memo: &mut self.tail,
-                hits: 0,
-                misses: 0,
-            };
-            summary::derive_products(
+            let mut pass = self.tail.begin(program, &ix, &keys, &hashes, &change);
+            summary::derive_products_carried(
                 program,
                 table,
                 graph,
                 &report.interval.proved_loop_bounds,
                 pt,
                 &mut report.summary,
-                Some(&mut ctx),
+                &mut self.tail,
+                &mut pass,
             );
-            report.races =
-                races::analyze_demand(program, table, graph, &report.summary.pointsto, Some(&mut ctx));
-            stats.demand_hits += ctx.hits;
-            stats.demand_misses += ctx.misses;
+            report.races = races::analyze_carried(
+                program,
+                table,
+                graph,
+                &report.summary.pointsto,
+                &mut self.tail,
+                &mut pass,
+            );
+            let counts = pass.finish();
+            stats.demand_hits += counts.hits;
+            stats.demand_misses += counts.misses;
+            stats.tail_visited += counts.visited;
+            stats.tail_rerun.absorb(&counts.reruns);
         });
         stats.tail_ns = laps.lap();
 
+        let report = Arc::new(report);
         self.revisions.insert(
             rkey,
             CacheSlot {
-                value: report.clone(),
+                value: Arc::clone(&report),
                 last_used: revision,
             },
         );
+        self.stale.push_back((revision, Stale::Revision(rkey)));
         self.evict(revision);
         self.prev_keys = keys;
         self.index = ix;
@@ -654,9 +791,31 @@ impl AnalysisDb {
         report
     }
 
+    /// Recomputes every tail result the database carries for the revision
+    /// it analyzed last — `program` with `report`, the report that
+    /// analysis returned — from scratch, and names the first carried
+    /// result that differs. A check of the changed set: a result it
+    /// skipped must still be the one a cold run computes.
+    ///
+    /// # Errors
+    ///
+    /// The first method (or block) whose carried result differs from
+    /// its cold recompute, and which result it is.
+    pub fn check_tail_against_cold(
+        &self,
+        program: &Program,
+        table: &ClassTable,
+        graph: &CallGraph,
+        report: &FlowReport,
+    ) -> Result<(), String> {
+        self.tail
+            .check_against_cold(program, table, graph, &self.index, report)
+    }
+
     /// The SCC-level summary layer: walk the condensation bottom-up,
     /// serving each component from cache when its key — member
     /// fingerprints plus external callee summary hashes — is unchanged.
+    /// Returns the summaries with each method's summary hash.
     #[allow(clippy::too_many_arguments)]
     fn summaries(
         &mut self,
@@ -667,8 +826,9 @@ impl AnalysisDb {
         ix: &ProgramIndex,
         keys: &BTreeMap<MethodRef, (Fp, Fp)>,
         stats: &mut RunStats,
-    ) -> SummaryReport {
+    ) -> (SummaryReport, BTreeMap<MethodRef, Fp>) {
         let revision = self.revision;
+        let mut cited: Vec<Fp> = Vec::with_capacity(cond.len());
         let mut out = SummaryReport::default();
         let mut purities: BTreeMap<MethodRef, PuritySummary> = BTreeMap::new();
         let mut escapes: BTreeMap<MethodRef, EscapeSummary> = BTreeMap::new();
@@ -698,6 +858,7 @@ impl AnalysisDb {
                 h.u64(fp.0);
             }
             let skey = h.finish();
+            cited.push(skey);
 
             match self.sccs.entry(skey) {
                 Entry::Occupied(mut e) => {
@@ -748,18 +909,60 @@ impl AnalysisDb {
             let escape = escapes.remove(&mref).unwrap_or_default();
             out.methods.insert(mref, MethodSummary { purity, escape });
         }
-        out
+        // The previous revision's SCC keys this one no longer cites go
+        // stale (one merged pass over the two sorted key lists).
+        cited.sort_unstable();
+        cited.dedup();
+        let mut now = cited.iter().peekable();
+        for &old in &self.prev_sccs {
+            while now.next_if(|k| **k < old).is_some() {}
+            if now.peek() != Some(&&old) {
+                self.stale.push_back((revision - 1, Stale::Scc(old)));
+            }
+        }
+        self.prev_sccs = cited;
+        (out, hashes)
     }
 
+    /// Drops the entries no revision cited in the last
+    /// [`KEEP_REVISIONS`] revisions. Visits only the queued entries
+    /// that are due; one cited again since it was queued stays (and is
+    /// queued again when it stops being cited). A replayed revision is
+    /// cited without being analyzed, so its entry is queued anew.
     fn evict(&mut self, revision: u64) {
-        let keep = |last_used: u64| last_used + KEEP_REVISIONS >= revision;
-        self.revisions.retain(|_, s| keep(s.last_used));
-        self.cfg_sizes.retain(|_, s| keep(s.last_used));
-        self.definite.retain(|_, s| keep(s.last_used));
-        self.constprop.retain(|_, s| keep(s.last_used));
-        self.interval.retain(|_, s| keep(s.last_used));
-        self.sccs.retain(|_, s| keep(s.last_used));
-        self.tail.evict(revision, KEEP_REVISIONS);
+        let due = |last: u64| last + KEEP_REVISIONS < revision;
+        while let Some(&(last, stale)) = self.stale.front() {
+            if !due(last) {
+                break;
+            }
+            self.stale.pop_front();
+            let used = |slot: Option<u64>| slot.filter(|&u| !due(u));
+            match stale {
+                Stale::Method(k) => {
+                    if used(self.cfg_sizes.get(&k).map(|s| s.last_used)).is_none() {
+                        self.cfg_sizes.remove(&k);
+                        self.definite.remove(&k);
+                        self.constprop.remove(&k);
+                    }
+                }
+                Stale::Interval(k) => {
+                    if used(self.interval.get(&k).map(|s| s.last_used)).is_none() {
+                        self.interval.remove(&k);
+                    }
+                }
+                Stale::Scc(k) => {
+                    if used(self.sccs.get(&k).map(|s| s.last_used)).is_none() {
+                        self.sccs.remove(&k);
+                    }
+                }
+                Stale::Revision(k) => match used(self.revisions.get(&k).map(|s| s.last_used)) {
+                    None => {
+                        self.revisions.remove(&k);
+                    }
+                    Some(u) => self.stale.push_back((u, Stale::Revision(k))),
+                },
+            }
+        }
     }
 }
 
@@ -775,7 +978,7 @@ pub fn render_rollup(stats: &RunStats, revision: u64) -> String {
          scc summaries: {} hits, {} misses; points-to: {} hits, {} misses; \
          revisions analyzed: {}\n\
          tail traffic: {} constraints retracted, {} added; \
-         demand queries: {} hits, {} misses",
+         demand queries: {} hits, {} misses; {} methods re-run ({})",
         stats.hits,
         stats.misses,
         stats.recomputed,
@@ -789,6 +992,8 @@ pub fn render_rollup(stats: &RunStats, revision: u64) -> String {
         stats.pt_constraints_added,
         stats.demand_hits,
         stats.demand_misses,
+        stats.tail_visited,
+        stats.tail_rerun.render(),
     )
 }
 
@@ -834,6 +1039,14 @@ fn export_metrics(r: &jtobs::Registry, report: &FlowReport, stats: &RunStats, re
         .add(stats.pt_taint_fields);
     r.counter("jtanalysis.db.demand_hits").add(stats.demand_hits);
     r.counter("jtanalysis.db.demand_misses").add(stats.demand_misses);
+    r.counter("jtanalysis.db.tail_visited").add(stats.tail_visited);
+    for cause in TailCause::ALL {
+        let n = stats.tail_rerun.get(cause);
+        if n > 0 {
+            r.counter(&format!("jtanalysis.db.tail_rerun.{}", cause.name()))
+                .add(n);
+        }
+    }
     r.histogram("jtanalysis.time_us.tail_demand")
         .record(stats.tail_ns / 1_000);
     r.gauge("jtanalysis.db.revision").set(revision as i64);
@@ -1159,6 +1372,13 @@ mod tests {
             pt_taint_fields: 1,
             demand_hits: 21,
             demand_misses: 2,
+            tail_visited: 2,
+            tail_rerun: {
+                let mut r = TailReruns::default();
+                r.add(TailCause::MethodKey);
+                r.add(TailCause::Summary);
+                r
+            },
             tail_ns: 123_456,
             index_ns: 1_000,
             method_ns: 2_000,
@@ -1172,7 +1392,7 @@ mod tests {
              scc summaries: 5 hits, 1 misses; points-to: 1 hits, 0 misses; \
              revisions analyzed: 2\n\
              tail traffic: 7 constraints retracted, 9 added; \
-             demand queries: 21 hits, 2 misses"
+             demand queries: 21 hits, 2 misses; 2 methods re-run (method_key=1, summary=1)"
         );
     }
 
@@ -1282,6 +1502,90 @@ mod tests {
             assert!(reports_equal(&warm, &cold));
             assert_eq!(warm.summary.methods, cold.summary.methods);
         }
+    }
+
+    /// Analyzes `base` then `edit` on one database and returns the
+    /// warm report of `edit`, its stats, and a cold analysis of it.
+    fn warm_then_cold(base: &str, edit: &str) -> (Arc<FlowReport>, RunStats, FlowReport) {
+        let mut db = AnalysisDb::new();
+        let (p, t, g) = setup(base);
+        db.analyze(&p, &t, &g);
+        let (p2, t2, g2) = setup(edit);
+        let warm = db.analyze(&p2, &t2, &g2);
+        db.check_tail_against_cold(&p2, &t2, &g2, &warm)
+            .unwrap_or_else(|e| panic!("{e}"));
+        (warm, db.last_run(), flow::analyze_batch(&p2, &t2, &g2))
+    }
+
+    #[test]
+    fn a_call_added_in_a_constructor_re_attributes_its_callee() {
+        // `bump` is reached from two threads' `run`; a call from a
+        // constructor puts it in the init phase too. Its own key does
+        // not change, but its accesses' attribution does, and with it
+        // the race verdict on `Cell.v`.
+        let base = "class Cell { public int v; Cell() { v = 0; } void bump() { v = v + 1; } }
+             class W1 extends Thread { private Cell c; W1(Cell x) { c = x; } public void run() { c.bump(); } }
+             class W2 extends Thread { private Cell c; W2(Cell x) { c = x; } public void run() { c.bump(); } }
+             class Main { Main() { Cell s = new Cell(); W1 a = new W1(s); W2 b = new W2(s); } }";
+        let edit = base.replace("W2 b = new W2(s); }", "W2 b = new W2(s); s.bump(); }");
+        let (warm, stats, cold) = warm_then_cold(base, &edit);
+        assert!(stats.tail_rerun.get(TailCause::Reach) >= 1, "{stats:?}");
+        assert_eq!(warm.races, cold.races);
+        let bump = MethodRef::method("Cell", "bump");
+        assert!(warm.races.accesses.iter().any(|a| a.method == bump && a.in_init_phase));
+    }
+
+    #[test]
+    fn a_callee_escape_change_re_runs_its_callers_leak_verdict() {
+        // Only `raw` is edited; `get`'s body is unchanged, but it now
+        // returns the alias `raw` hands out, so its escape summary — and
+        // its R14 verdict — change.
+        let base = "class Shared { public int v; Shared() { v = 0; } }
+             class Reg {
+                 private Shared slot;
+                 Reg() { slot = new Shared(); }
+                 Shared raw() { return new Shared(); }
+                 Shared get() { return raw(); }
+             }";
+        let edit = base.replace("return new Shared(); }", "return slot; }");
+        let (warm, stats, cold) = warm_then_cold(base, &edit);
+        assert!(stats.tail_rerun.get(TailCause::Summary) >= 1, "{stats:?}");
+        assert_eq!(warm.summary.alias_leaks, cold.summary.alias_leaks);
+        assert_eq!(warm.summary.evidence, cold.summary.evidence);
+        assert!(
+            warm.summary.alias_leaks.iter().any(|l| l.method == "get"),
+            "{:?}",
+            warm.summary.alias_leaks
+        );
+    }
+
+    #[test]
+    fn a_no_op_revision_visits_no_tail_result() {
+        let base = jtlang::corpus::generate(&jtlang::corpus::GenConfig::default());
+        let shifted = format!("// pad\n{base}");
+        let (_, stats, _) = warm_then_cold(&base, &shifted);
+        assert_eq!(stats.tail_visited, 0, "{stats:?}");
+        assert_eq!(stats.demand_misses, 0, "{stats:?}");
+        assert_eq!(stats.tail_rerun, TailReruns::default(), "{stats:?}");
+    }
+
+    #[test]
+    fn stale_entries_leave_and_cited_ones_stay() {
+        // `g` changes every revision; `f` never does. After many
+        // revisions `f`'s entries are still cited and cached, while the
+        // caches hold no more than the live entries plus `g`'s last
+        // KEEP_REVISIONS + 1 versions.
+        let mut db = AnalysisDb::new();
+        for i in 0..4 * KEEP_REVISIONS {
+            let src = format!("class A {{ int f() {{ return 1; }} int g() {{ return {i}; }} }}");
+            let (p, t, g) = setup(&src);
+            db.analyze(&p, &t, &g);
+        }
+        assert!(db.definite.len() as u64 <= 2 + KEEP_REVISIONS + 1, "{}", db.definite.len());
+        assert!(db.revisions.len() as u64 <= KEEP_REVISIONS + 1, "{}", db.revisions.len());
+        let (p, t, g) = setup("class A { int f() { return 1; } int g() { return -1; } }");
+        db.analyze(&p, &t, &g);
+        assert_eq!(db.last_run().recomputed, 4, "{:?}", db.last_run());
     }
 
     #[test]

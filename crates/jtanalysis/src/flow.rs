@@ -70,7 +70,8 @@ impl FlowReport {
 /// batch analysis — so batch and incremental results agree by
 /// construction.
 pub fn analyze(program: &Program, table: &ClassTable, graph: &CallGraph) -> FlowReport {
-    crate::db::AnalysisDb::new().analyze(program, table, graph)
+    let report = crate::db::AnalysisDb::new().analyze(program, table, graph);
+    std::sync::Arc::unwrap_or_clone(report)
 }
 
 /// Runs the full suite, exporting metrics into `registry`.
@@ -80,7 +81,8 @@ pub fn analyze_with_registry(
     graph: &CallGraph,
     registry: &jtobs::Registry,
 ) -> FlowReport {
-    crate::db::AnalysisDb::new().analyze_with_registry(program, table, graph, registry)
+    let report = crate::db::AnalysisDb::new().analyze_with_registry(program, table, graph, registry);
+    std::sync::Arc::unwrap_or_clone(report)
 }
 
 /// Runs the legacy batch composition: each pass's whole-program driver

@@ -135,6 +135,74 @@ pub(crate) struct Retraction {
     pub(crate) implicated_fields: BTreeSet<HeapKey>,
 }
 
+/// What one revision's points-to update changed
+/// ([`PointsTo::changes_since`]), for the analysis tail to decide
+/// which of its carried results still hold.
+#[derive(Debug, Clone)]
+pub(crate) enum PtChange {
+    /// No carried relation to compare with: every fact may differ.
+    All,
+    /// The same facts under the same object ids (only spans and node ids
+    /// may have moved).
+    Unchanged,
+    /// Some facts changed.
+    Delta(PtDelta),
+}
+
+/// The changed part of a relation, see [`PtChange::Delta`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PtDelta {
+    /// Old object id → new id (`None`: the object is gone); `None` when
+    /// every id stayed in place.
+    pub(crate) remap: Option<Vec<Option<ObjId>>>,
+    /// Methods with a changed local or return set, or a changed object
+    /// allocated in their body.
+    pub(crate) methods: BTreeSet<MethodRef>,
+    /// Field names (or [`ELEMS`]) with a changed heap slot.
+    pub(crate) fields: BTreeSet<String>,
+    /// Classes with a changed instance set (or a changed object).
+    pub(crate) classes: BTreeSet<String>,
+}
+
+/// Merges two sorted runs of keyed object sets — the old run with its
+/// keys already mapped to the new ids, `dead` marking an entry whose
+/// key names a deleted object — and reports each key whose set differs,
+/// appeared or vanished.
+fn merge_diff<'a, K: Ord + Copy>(
+    old: impl Iterator<Item = (bool, K, &'a BTreeSet<ObjId>)>,
+    new: impl Iterator<Item = (K, &'a BTreeSet<ObjId>)>,
+    same: &dyn Fn(&BTreeSet<ObjId>, &BTreeSet<ObjId>) -> bool,
+    mut changed: impl FnMut(K),
+) {
+    let mut old = old.peekable();
+    let mut new = new.peekable();
+    loop {
+        match (old.peek(), new.peek()) {
+            (None, None) => break,
+            (Some(&(true, a, _)), _) => {
+                changed(a);
+                old.next();
+            }
+            (Some(&(_, a, sa)), Some(&(b, sb))) if a == b => {
+                if !same(sa, sb) {
+                    changed(a);
+                }
+                old.next();
+                new.next();
+            }
+            (Some(&(_, a, _)), next) if next.is_none_or(|&(b, _)| a < b) => {
+                changed(a);
+                old.next();
+            }
+            (_, Some(&(b, _))) => {
+                changed(b);
+                new.next();
+            }
+            (Some(_), None) => unreachable!("handled by the arm above"),
+        }
+    }
+}
+
 /// A group of heap slots the delta solver clears and re-derives as
 /// one: field `field` of every instance of `owner` — the class that
 /// declares it — or, with no owner, of every object. The array
@@ -675,8 +743,8 @@ impl PointsTo {
     /// Renumbers objects into the canonical order: ascending by
     /// `(site, ctx)`, which is unique per object. Cold solves and delta
     /// re-solves materialize clones in different orders; canonical ids
-    /// make the two relations directly comparable ([`Self::same_relation`])
-    /// and give [`Self::relation_fp`] a stable digest.
+    /// make the two relations directly comparable ([`Self::same_relation`],
+    /// [`Self::changes_since`]).
     pub(crate) fn canonicalize(&mut self) {
         let mut order: Vec<usize> = (0..self.objs.len()).collect();
         order.sort_by(|&a, &b| {
@@ -917,68 +985,112 @@ impl PointsTo {
             + self.heap.values().map(|s| s.len() as u64).sum::<u64>()
     }
 
-    /// Span-free digest of the canonical relation. Two relations with
-    /// equal digests are semantically identical (modulo hash
-    /// collisions); the demand layer keys per-field and per-block
-    /// queries on it for early cutoff. Only meaningful after
-    /// [`Self::canonicalize`] — every solve path ends with it.
-    pub(crate) fn relation_fp(&self) -> Fp {
-        let mut h = fingerprint::StructHasher::new();
-        h.u64(self.k as u64);
-        h.bool(self.converged);
-        h.u64(self.objs.len() as u64);
-        for o in &self.objs {
-            h.u64(o.site.0);
-            h.u64(o.ctx.len() as u64);
-            for c in &o.ctx {
-                h.u64(c.0);
-            }
-            h.str(&o.class);
-            h.tag(match o.kind {
-                ObjKind::Alloc(_) => 0,
-                ObjKind::Builtin(_) => 1,
-                ObjKind::Summary => 2,
-            });
+    /// What changed from `old` — the relation this one was updated from,
+    /// both canonical — in the terms the analysis tail reads: how the
+    /// object ids moved, and which methods' variables, which heap fields
+    /// and which classes' instance sets differ once the ids are mapped.
+    /// One merged pass over each sorted map; no hashing.
+    pub(crate) fn changes_since(&self, old: &PointsTo) -> PtChange {
+        if self.k != old.k || self.converged != old.converged {
+            return PtChange::All;
         }
-        let hash_var_key = |h: &mut fingerprint::StructHasher, key: &VarKey| {
-            let (tag, m, ctx, name) = match key {
-                VarKey::Local(m, c, n) => (0u8, m, c, n.as_str()),
-                VarKey::Ret(m, c) => (1u8, m, c, ""),
+        let mut d = PtDelta::default();
+        // Objects: both lists ascend by (site, ctx), which is unique.
+        let mut remap: Vec<Option<ObjId>> = vec![None; old.objs.len()];
+        let (mut i, mut j) = (0, 0);
+        let note = |o: &ObjInfo, d: &mut PtDelta| {
+            if let Some(m) = &o.method {
+                d.methods.insert(m.clone());
+            }
+            d.classes.insert(o.class.clone());
+        };
+        while i < old.objs.len() || j < self.objs.len() {
+            let ord = match (old.objs.get(i), self.objs.get(j)) {
+                (Some(a), Some(b)) => (a.site, &a.ctx).cmp(&(b.site, &b.ctx)),
+                (Some(_), None) => std::cmp::Ordering::Less,
+                _ => std::cmp::Ordering::Greater,
             };
-            h.tag(tag);
-            h.member(m);
-            match ctx {
-                None => h.tag(0),
-                Some(o) => {
-                    h.tag(1);
-                    h.u64(o.0 as u64);
+            match ord {
+                std::cmp::Ordering::Equal => {
+                    let (a, b) = (&old.objs[i], &self.objs[j]);
+                    let same = a.class == b.class
+                        && a.method == b.method
+                        && std::mem::discriminant(&a.kind) == std::mem::discriminant(&b.kind);
+                    if same {
+                        remap[i] = Some(ObjId(j));
+                    } else {
+                        note(a, &mut d);
+                        note(b, &mut d);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+                std::cmp::Ordering::Less => {
+                    note(&old.objs[i], &mut d);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    note(&self.objs[j], &mut d);
+                    j += 1;
                 }
             }
-            h.str(name);
+        }
+        let moved = old.objs.len() != self.objs.len()
+            || remap.iter().enumerate().any(|(i, r)| *r != Some(ObjId(i)));
+        // Surviving ids keep their order, so a mapped old map is still
+        // sorted and merges against the new one.
+        let same_set = |a: &BTreeSet<ObjId>, b: &BTreeSet<ObjId>| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| remap[x.0] == Some(*y))
         };
-        let hash_set = |h: &mut fingerprint::StructHasher, set: &BTreeSet<ObjId>| {
-            h.u64(set.len() as u64);
-            for o in set {
-                h.u64(o.0 as u64);
+        // A variable key in `VarKey`'s order, with its context mapped.
+        fn var_key(k: &VarKey, ctx: Option<ObjId>) -> (u8, &MethodRef, Option<ObjId>, &str) {
+            match k {
+                VarKey::Local(m, _, n) => (0, m, ctx, n.as_str()),
+                VarKey::Ret(m, _) => (1, m, ctx, ""),
             }
+        }
+        let ctx_of = |k: &VarKey| match k {
+            VarKey::Local(_, c, _) | VarKey::Ret(_, c) => *c,
         };
-        h.u64(self.vars.len() as u64);
-        for (key, set) in &self.vars {
-            hash_var_key(&mut h, key);
-            hash_set(&mut h, set);
+        merge_diff(
+            old.vars.iter().map(|(k, s)| {
+                let ctx = ctx_of(k).map(|o| remap[o.0]);
+                (ctx.is_some_and(|c| c.is_none()), var_key(k, ctx.flatten()), s)
+            }),
+            self.vars.iter().map(|(k, s)| (var_key(k, ctx_of(k)), s)),
+            &same_set,
+            |key| {
+                d.methods.insert(key.1.clone());
+            },
+        );
+        merge_diff(
+            old.heap.iter().map(|((base, f), s)| {
+                let base = remap[base.0];
+                (base.is_none(), (base, f.as_str()), s)
+            }),
+            self.heap.iter().map(|((base, f), s)| ((Some(*base), f.as_str()), s)),
+            &same_set,
+            |key| {
+                d.fields.insert(key.1.to_string());
+            },
+        );
+        merge_diff(
+            old.this_of_class.iter().map(|(c, s)| (false, c.as_str(), s)),
+            self.this_of_class.iter().map(|(c, s)| (c.as_str(), s)),
+            &same_set,
+            |class| {
+                d.classes.insert(class.to_string());
+            },
+        );
+        if moved {
+            d.remap = Some(remap);
         }
-        h.u64(self.heap.len() as u64);
-        for ((base, field), set) in &self.heap {
-            h.u64(base.0 as u64);
-            h.str(field);
-            hash_set(&mut h, set);
+        if d.remap.is_none() && d.methods.is_empty() && d.fields.is_empty() && d.classes.is_empty()
+        {
+            PtChange::Unchanged
+        } else {
+            PtChange::Delta(d)
         }
-        h.u64(self.this_of_class.len() as u64);
-        for (class, set) in &self.this_of_class {
-            h.str(class);
-            hash_set(&mut h, set);
-        }
-        h.finish()
     }
 
     /// True when two canonicalized relations are semantically equal:

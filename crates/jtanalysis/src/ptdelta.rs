@@ -78,7 +78,7 @@
 //! still holds it when it changes.
 
 use crate::fingerprint::{self, Fp, ProgramIndex, StructHasher};
-use crate::pointsto::{self, HeapKey, KeyRule, PointsTo, Site};
+use crate::pointsto::{self, HeapKey, KeyRule, PointsTo, PtChange, Site};
 use crate::MethodRef;
 use jtlang::ast::{Block, ClassDecl, Expr, ExprKind, MethodDecl, Program, StmtKind, Type};
 use jtlang::resolve::ClassTable;
@@ -343,14 +343,15 @@ impl PtCache {
     /// at depth `k`, given its index `ix`, returning the canonical
     /// relation — shared with the cache, which copies it only when a
     /// later revision changes it while the caller still holds it — and
-    /// the traffic taken to produce it. The one flow of the module doc.
+    /// the traffic taken to produce it, and what changed from the
+    /// relation of the previous revision. The one flow of the module doc.
     pub(crate) fn update(
         &mut self,
         program: &Program,
         table: &ClassTable,
         k: usize,
         ix: &ProgramIndex,
-    ) -> (Arc<PointsTo>, DeltaOutcome) {
+    ) -> (Arc<PointsTo>, DeltaOutcome, PtChange) {
         let mut reset = match &self.state {
             None => Some(ResetCause::NoState),
             Some(st) if st.k != k => Some(ResetCause::DepthChanged),
@@ -379,6 +380,7 @@ impl PtCache {
         }
 
         // 3. Reset, or 4. taint, retract, rebase, solve.
+        let before = Arc::clone(&st.pt);
         let warm = match reset {
             Some(cause) => Err(cause),
             None => st.resolve(program, table, ix, sync),
@@ -394,7 +396,12 @@ impl PtCache {
                 taint_fields: 0,
             }
         });
-        (Arc::clone(&st.pt), outcome)
+        let change = match outcome.path {
+            DeltaPath::Cold(_) => PtChange::All,
+            DeltaPath::Rebase => PtChange::Unchanged,
+            DeltaPath::Delta => st.pt.changes_since(&before),
+        };
+        (Arc::clone(&st.pt), outcome, change)
     }
 }
 
@@ -1350,11 +1357,11 @@ mod tests {
         let ix1 = ProgramIndex::build(&p1, &t1);
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
-        let (first_pt, first) = cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
+        let (first_pt, first, _) = cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
         assert_eq!(first.path, DeltaPath::Cold(ResetCause::NoState));
         // A reset solves from the cache's own sites and uncalled set.
         assert!(first_pt.same_relation(&pointsto::analyze_k(&p1, &t1, pointsto::DEFAULT_K)));
-        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
+        let (warm, outcome, _) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
         let cold = pointsto::analyze_k(&p2, &t2, pointsto::DEFAULT_K);
         assert!(
             warm.same_relation(&cold),
@@ -1455,7 +1462,7 @@ mod tests {
             pointsto::DEFAULT_K,
             &ProgramIndex::build(&p1, &t1),
         );
-        let (warm, outcome) = cache.update(
+        let (warm, outcome, _) = cache.update(
             &p2,
             &t2,
             pointsto::DEFAULT_K,
@@ -1521,7 +1528,7 @@ mod tests {
         let ix = ProgramIndex::build(&p, &t);
         let mut cache = PtCache::default();
         cache.update(&p, &t, 1, &ix);
-        let (_, outcome) = cache.update(&p, &t, 0, &ix);
+        let (_, outcome, _) = cache.update(&p, &t, 0, &ix);
         assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::DepthChanged));
     }
 
@@ -1534,7 +1541,7 @@ mod tests {
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
         cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
-        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
+        let (warm, outcome, _) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
         assert!(!matches!(outcome.path, DeltaPath::Cold(_)));
         let cold = pointsto::analyze_k(&p2, &t2, pointsto::DEFAULT_K);
         assert_eq!(warm.locals, cold.locals);
@@ -1574,7 +1581,7 @@ mod tests {
         let ix2 = ProgramIndex::build(&p2, &t2);
         let mut cache = PtCache::default();
         cache.update(&p1, &t1, pointsto::DEFAULT_K, &ix1);
-        let (warm, outcome) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
+        let (warm, outcome, _) = cache.update(&p2, &t2, pointsto::DEFAULT_K, &ix2);
         // The raw fingerprint changed but the constant-blind shapes did
         // not: nothing is tainted, the relation is only rebased, and the
         // key map must absorb the new fingerprint so the next no-op run
@@ -1790,9 +1797,9 @@ mod tests {
         let (p, t) = frontend(&src).unwrap();
         let ix = ProgramIndex::build(&p, &t);
         let mut cache = PtCache::default();
-        let (first, _) = cache.update(&p, &t, pointsto::DEFAULT_K, &ix);
+        let (first, _, _) = cache.update(&p, &t, pointsto::DEFAULT_K, &ix);
         assert!(!first.converged());
-        let (warm, outcome) = cache.update(&p, &t, pointsto::DEFAULT_K, &ix);
+        let (warm, outcome, _) = cache.update(&p, &t, pointsto::DEFAULT_K, &ix);
         assert_eq!(outcome.path, DeltaPath::Cold(ResetCause::NotConverged));
         assert!(warm.same_relation(&pointsto::analyze_k(&p, &t, pointsto::DEFAULT_K)));
     }
@@ -1814,7 +1821,7 @@ mod tests {
         let structural = BASE.replace("Item keep = i;", "Item keep = b.get();");
         let (p3, t3) = frontend(&structural).unwrap();
         let mut cache = PtCache::default();
-        let (cold, _) = cache.update(
+        let (cold, _, _) = cache.update(
             &p1,
             &t1,
             pointsto::DEFAULT_K,
@@ -1824,7 +1831,7 @@ mod tests {
             cold.passes(),
             pointsto::analyze_k(&p1, &t1, pointsto::DEFAULT_K).passes()
         );
-        let (rebased, outcome) = cache.update(
+        let (rebased, outcome, _) = cache.update(
             &p2,
             &t2,
             pointsto::DEFAULT_K,
@@ -1832,7 +1839,7 @@ mod tests {
         );
         assert_eq!(outcome.path, DeltaPath::Rebase);
         assert_eq!(rebased.passes(), 0);
-        let (delta, outcome) = cache.update(
+        let (delta, outcome, _) = cache.update(
             &p3,
             &t3,
             pointsto::DEFAULT_K,
@@ -2043,7 +2050,7 @@ mod tests {
             text = new;
             let spliced: Vec<_> = splice.iter().map(|s| s.pos).collect();
             ix.update(&program, &table, Some(&spliced));
-            let (warm, outcome) = cache.update(&program, &table, pointsto::DEFAULT_K, &ix);
+            let (warm, outcome, _) = cache.update(&program, &table, pointsto::DEFAULT_K, &ix);
             // The delta path, whether or not the edit has a fact to
             // retract (a call between `int` methods has none).
             assert_eq!(outcome.path, DeltaPath::Delta, "{outcome:?}");

@@ -33,13 +33,14 @@
 //!   — the tier only ever *refines* with proof in hand.
 
 use crate::callgraph::CallGraph;
-use crate::demand::{demand, idx32, DemandCtx, Maps};
+use crate::db::TailCause;
+use crate::demand::{idx32, Maps, Pass, TailState, GONE, REACH};
 use crate::evidence::{AccessRef, ChainLink, Evidence, SiteRef, ThreadWitness, Verdict};
-use crate::fingerprint::{combine, Fp, NodeMap, StructHasher};
-use crate::pointsto::{self, ObjId, PointsTo};
+use crate::fingerprint::NodeMap;
+use crate::pointsto::{self, resolve_call, CallTarget, ObjId, PointsTo, PtChange, PtDelta};
 use crate::MethodRef;
 use jtlang::ast::{
-    walk_stmts, ClassDecl, Expr, ExprKind, MethodDecl, NodeId, Program, StmtKind, Type,
+    walk_expr, walk_stmts, ClassDecl, Expr, ExprKind, MethodDecl, NodeId, Program, StmtKind, Type,
 };
 use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
@@ -153,15 +154,300 @@ pub fn analyze_with_pointsto(
     graph: &CallGraph,
     pt: &PointsTo,
 ) -> RaceReport {
-    analyze_demand(program, table, graph, pt, None)
+    // Thread roots: the `run` methods of Thread subclasses. Each root
+    // taints the methods its run can reach.
+    let reach_by_root: BTreeMap<String, BTreeSet<MethodRef>> = thread_classes(program, table)
+        .map(|c| {
+            let root = MethodRef::method(&c.name, "run");
+            (c.name.clone(), graph.reachable_from([&root]))
+        })
+        .collect();
+    // Init phase: everything reachable from constructors.
+    let init_reach = graph.reachable_from(ctor_roots(program).iter());
+
+    // Per access: the abstract objects holding the accessed field
+    // (`None` = unresolvable), paired with the access.
+    let mut maps = Maps::new(None);
+    let mut pairs: Vec<(Access, Option<BTreeSet<ObjId>>)> = Vec::new();
+    for (class, decl, mref) in crate::each_method(program) {
+        let thread_roots = attribution(&reach_by_root, &mref);
+        let in_init_phase = mref.is_ctor || init_reach.contains(&mref);
+        let Some(map) = maps.get(program, &mref) else {
+            continue;
+        };
+        for core in compute_access_cores(program, table, class, decl, &mref, pt, map, None) {
+            let (_, span) = map.expr(core.expr_index as usize);
+            let access = Access {
+                field: core.field,
+                span,
+                method: mref.clone(),
+                is_write: core.is_write,
+                thread_roots: thread_roots.clone(),
+                in_init_phase,
+            };
+            pairs.push((access, core.holders));
+        }
+    }
+    let (accesses, holders, by_field) = sorted_groups(pairs);
+    let holders: Vec<Option<&BTreeSet<ObjId>>> = holders.iter().map(Option::as_ref).collect();
+    let thread_sites = thread_sites(reach_by_root.keys(), pt);
+    let mut reach_cache: BTreeMap<ObjId, BTreeSet<ObjId>> = BTreeMap::new();
+    let mut reaches = |tau: ObjId, o: ObjId| -> bool {
+        reach_cache
+            .entry(tau)
+            .or_insert_with(|| pt.reachable(tau))
+            .contains(&o)
+    };
+    let mut report = RaceReport::default();
+    for (field, idxs) in &by_field {
+        let core = field_verdict_core(idxs, &accesses, &holders, &thread_sites, &mut reaches);
+        materialize_field(field, idxs, &core, &accesses, pt, &mut report);
+    }
+    finish(report, accesses)
+}
+
+/// [`analyze_with_pointsto`] over the carried tail `state`: the thread
+/// and init reach are walked again only when a method they hold changed
+/// its key; a method's access list re-runs when its key, its thread or
+/// init attribution, or the points-to slice it read
+/// ([`AccessReads`]) changed; a field's alias verdict re-runs when an
+/// access of its group re-ran, or — for a group with a thread-phase
+/// access — when the relation changed.
+pub(crate) fn analyze_carried(
+    program: &Program,
+    table: &ClassTable,
+    graph: &CallGraph,
+    pt: &PointsTo,
+    state: &mut TailState,
+    pass: &mut Pass,
+) -> RaceReport {
+    attribute(program, table, graph, state, pass);
+    if let PtChange::Delta(PtDelta {
+        remap: Some(remap), ..
+    }) = pass.pt
+    {
+        state.remap_objects(remap, pass);
+    }
+    let mut dirty: BTreeSet<FieldId> = BTreeSet::new();
+    for (i, slot) in state.slots.iter_mut().enumerate() {
+        let cause = pass
+            .key_cause(i)
+            .or_else(|| (pass.own[i] & REACH != 0).then_some(TailCause::Reach))
+            .or_else(|| {
+                let stale = match pass.pt {
+                    PtChange::All => true,
+                    PtChange::Unchanged => false,
+                    PtChange::Delta(d) => pass.own[i] & GONE != 0 || slot.reads.stale(&slot.mref, d),
+                };
+                stale.then_some(TailCause::PtSlice)
+            });
+        if pass.note(i, cause) {
+            let (class, decl) = pass.decls[i];
+            let mut reads = AccessReads::default();
+            let cores = compute_access_cores(
+                program,
+                table,
+                class,
+                decl,
+                &slot.mref,
+                pt,
+                pass.maps[i],
+                Some(&mut reads),
+            );
+            dirty.extend(slot.access.iter().chain(&cores).map(|c| c.field.clone()));
+            (slot.access, slot.reads) = (cores, reads);
+        }
+    }
+    let mut pairs: Vec<(Access, Option<&BTreeSet<ObjId>>)> = Vec::new();
+    for &i in &state.order {
+        let (slot, map) = (&state.slots[i], pass.maps[i]);
+        for core in &slot.access {
+            let access = Access {
+                field: core.field.clone(),
+                span: map.expr(core.expr_index as usize).1,
+                method: slot.mref.clone(),
+                is_write: core.is_write,
+                thread_roots: slot.thread_roots.clone(),
+                in_init_phase: slot.in_init,
+            };
+            pairs.push((access, core.holders.as_ref()));
+        }
+    }
+    let (accesses, holders, by_field) = sorted_groups(pairs);
+    let thread_sites = thread_sites(state.thread_reach.keys(), pt);
+    let mut reach_cache: BTreeMap<ObjId, BTreeSet<ObjId>> = BTreeMap::new();
+    let mut reaches = |tau: ObjId, o: ObjId| -> bool {
+        reach_cache
+            .entry(tau)
+            .or_insert_with(|| pt.reachable(tau))
+            .contains(&o)
+    };
+    let pt_changed = !matches!(pass.pt, PtChange::Unchanged);
+    let mut old = std::mem::take(&mut state.fields);
+    let mut report = RaceReport::default();
+    for (field, idxs) in &by_field {
+        let threaded = idxs.iter().any(|&i| {
+            let a = &accesses[i];
+            !a.thread_roots.is_empty() && !a.in_init_phase
+        });
+        let own = pass.all.is_some() || dirty.contains(field);
+        let rerun = own || threaded && pt_changed;
+        let core = match old.remove(field) {
+            Some(core) if !rerun => {
+                pass.hit(1);
+                core
+            }
+            carried => {
+                if carried.is_some() && !own {
+                    pass.note_other(Some(TailCause::PtSlice));
+                } else {
+                    pass.miss();
+                }
+                field_verdict_core(idxs, &accesses, &holders, &thread_sites, &mut reaches)
+            }
+        };
+        materialize_field(field, idxs, &core, &accesses, pt, &mut report);
+        state.fields.insert(field.clone(), core);
+    }
+    finish(report, accesses)
+}
+
+/// Brings the carried thread and init reach to this revision and
+/// re-attributes the methods whose membership changed, flagging
+/// `REACH` on those whose attribution did.
+fn attribute(
+    program: &Program,
+    table: &ClassTable,
+    graph: &CallGraph,
+    state: &mut TailState,
+    pass: &mut Pass,
+) {
+    let all = pass.all.is_some();
+    let mut moved: BTreeSet<MethodRef> = BTreeSet::new();
+    let mut old = std::mem::take(&mut state.thread_reach);
+    for class in thread_classes(program, table) {
+        let reach = match old.remove(&class.name) {
+            Some(r) if !all && !state.touches(&pass.edited, &r) => r,
+            prev => {
+                let root = MethodRef::method(&class.name, "run");
+                let r = graph.reachable_from([&root]);
+                match prev {
+                    Some(p) => moved.extend(p.symmetric_difference(&r).cloned()),
+                    None => moved.extend(r.iter().cloned()),
+                }
+                r
+            }
+        };
+        state.thread_reach.insert(class.name.clone(), reach);
+    }
+    moved.extend(old.into_values().flatten());
+    if all || state.touches(&pass.edited, &state.init_reach) {
+        let r = graph.reachable_from(ctor_roots(program).iter());
+        moved.extend(state.init_reach.symmetric_difference(&r).cloned());
+        state.init_reach = r;
+    }
+    let slots: Vec<usize> = if all {
+        (0..state.slots.len()).collect()
+    } else {
+        moved.iter().filter_map(|m| state.slot_of(m)).collect()
+    };
+    for i in slots {
+        let m = &state.slots[i].mref;
+        let roots = attribution(&state.thread_reach, m);
+        let in_init = m.is_ctor || state.init_reach.contains(m);
+        let slot = &mut state.slots[i];
+        if roots != slot.thread_roots || in_init != slot.in_init {
+            pass.own[i] |= REACH;
+            (slot.thread_roots, slot.in_init) = (roots, in_init);
+        }
+    }
+}
+
+/// The thread classes: subclasses of `Thread` that declare `run`.
+pub(crate) fn thread_classes<'p>(
+    program: &'p Program,
+    table: &'p ClassTable,
+) -> impl Iterator<Item = &'p ClassDecl> {
+    program
+        .classes
+        .iter()
+        .filter(move |c| table.is_subclass_of(&c.name, "Thread") && c.method("run").is_some())
+}
+
+/// Every declared constructor: the roots of the init phase.
+pub(crate) fn ctor_roots(program: &Program) -> Vec<MethodRef> {
+    program
+        .classes
+        .iter()
+        .flat_map(|c| {
+            c.ctors
+                .iter()
+                .map(|d| MethodRef::ctor(&c.name, d.params.len()))
+        })
+        .collect()
+}
+
+/// The thread classes whose `run` reaches `m`.
+pub(crate) fn attribution(reach_by_root: &BTreeMap<String, BTreeSet<MethodRef>>, m: &MethodRef) -> BTreeSet<String> {
+    reach_by_root
+        .iter()
+        .filter(|(_, reach)| reach.contains(m))
+        .map(|(root, _)| root.clone())
+        .collect()
+}
+
+/// Thread instances per thread class: the points-to objects of the
+/// class (or a subclass).
+fn thread_sites<'r>(
+    roots: impl Iterator<Item = &'r String>,
+    pt: &PointsTo,
+) -> BTreeMap<&'r String, BTreeSet<ObjId>> {
+    roots.map(|root| (root, pt.instances_of(root))).collect()
+}
+
+/// Sorts the accesses into stable source order (moving, not cloning,
+/// their holder sets along) and groups them by field (indices into the
+/// sorted vectors).
+#[allow(clippy::type_complexity)]
+fn sorted_groups<H>(
+    mut pairs: Vec<(Access, H)>,
+) -> (Vec<Access>, Vec<H>, BTreeMap<FieldId, Vec<usize>>) {
+    pairs.sort_by(|(a, _), (b, _)| {
+        (&a.field, a.span.start, a.span.end).cmp(&(&b.field, b.span.start, b.span.end))
+    });
+    let (accesses, holders): (Vec<Access>, Vec<H>) = pairs.into_iter().unzip();
+    let mut by_field: BTreeMap<FieldId, Vec<usize>> = BTreeMap::new();
+    for (i, a) in accesses.iter().enumerate() {
+        match by_field.get_mut(&a.field) {
+            Some(idxs) => idxs.push(i),
+            None => {
+                by_field.insert(a.field.clone(), vec![i]);
+            }
+        }
+    }
+    (accesses, holders, by_field)
+}
+
+/// Fills the heuristic tier's cleared list and hands the report the
+/// access list.
+fn finish(mut report: RaceReport, accesses: Vec<Access>) -> RaceReport {
+    report.cleared = report
+        .syntactic
+        .iter()
+        .filter(|f| report.refined.iter().all(|r| &r.field != *f))
+        .cloned()
+        .collect();
+    report.accesses = accesses;
+    report
 }
 
 /// Span-free core of one attributed field access: the race tiers'
-/// phase-1 unit, cached per method by [`crate::db`]. The expression is
-/// identified by its pre-order index, the holders by canonical
-/// points-to object ids — both stable across re-parses under the cache
-/// key (method key + signature fp + relation fp).
-#[derive(Debug, Clone)]
+/// phase-1 unit, carried per method by the analysis tail
+/// ([`crate::demand`]). The expression is identified by its pre-order
+/// index, the holders by canonical points-to object ids — both stable
+/// across re-parses while the method, the signature table and the
+/// points-to slice it read ([`AccessReads`]) stand.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct AccessCore {
     pub(crate) field: FieldId,
     pub(crate) expr_index: u32,
@@ -170,8 +456,55 @@ pub(crate) struct AccessCore {
     pub(crate) holders: Option<BTreeSet<ObjId>>,
 }
 
-/// Computes one method's attributed access list against `pt`.
-fn compute_access_cores(
+/// The part of the points-to relation one method's access list reads
+/// beyond the method's own variables and its class's instance set: the
+/// return sets of the methods its holder expressions call (with their
+/// classes' instance sets) and the heap fields they load. The tail
+/// re-runs the list when a [`PtDelta`] names any of them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct AccessReads {
+    callees: Vec<MethodRef>,
+    fields: Vec<String>,
+}
+
+impl AccessReads {
+    /// Records what evaluating `e` in `mref` (declared by `decl`) reads.
+    fn note(
+        &mut self,
+        program: &Program,
+        table: &ClassTable,
+        mref: &MethodRef,
+        decl: &MethodDecl,
+        e: &Expr,
+    ) {
+        walk_expr(e, &mut |x| match &x.kind {
+            ExprKind::Var(name) | ExprKind::Field { name, .. } => self.fields.push(name.clone()),
+            ExprKind::Index { .. } => self.fields.push(pointsto::ELEMS.to_string()),
+            ExprKind::Call {
+                receiver, method, ..
+            } => {
+                let target = resolve_call(program, table, mref, Some(decl), receiver.as_deref(), method);
+                if let Some(CallTarget::User(c)) = target {
+                    self.callees.push(c);
+                }
+            }
+            _ => {}
+        });
+    }
+
+    /// True when `d` changed a fact the access list of `mref` read.
+    pub(crate) fn stale(&self, mref: &MethodRef, d: &PtDelta) -> bool {
+        let method = |m: &MethodRef| d.methods.contains(m) || d.classes.contains(&m.class);
+        method(mref)
+            || self.callees.iter().any(method)
+            || self.fields.iter().any(|f| d.fields.contains(f))
+    }
+}
+
+/// Computes one method's attributed access list against `pt`, and with
+/// `reads` the slice of `pt` it read.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn compute_access_cores(
     program: &Program,
     table: &ClassTable,
     class: &ClassDecl,
@@ -179,13 +512,19 @@ fn compute_access_cores(
     mref: &MethodRef,
     pt: &PointsTo,
     map: &NodeMap,
+    mut reads: Option<&mut AccessReads>,
 ) -> Vec<AccessCore> {
-    field_events(table, class, decl)
+    let cores = field_events(table, class, decl)
         .into_iter()
         .map(|ev| {
             let holders = match &ev.holder {
                 HolderRef::ImplicitThis => pt.instances_of(&mref.class),
-                HolderRef::Object(e) => pt.eval(program, table, mref, e),
+                HolderRef::Object(e) => {
+                    if let Some(r) = reads.as_deref_mut() {
+                        r.note(program, table, mref, decl, e);
+                    }
+                    pt.eval(program, table, mref, e)
+                }
             };
             AccessCore {
                 field: ev.field,
@@ -194,14 +533,21 @@ fn compute_access_cores(
                 holders: (!holders.is_empty()).then_some(holders),
             }
         })
-        .collect()
+        .collect();
+    if let Some(r) = reads {
+        r.fields.sort_unstable();
+        r.fields.dedup();
+        r.callees.sort_unstable();
+        r.callees.dedup();
+    }
+    cores
 }
 
 /// The alias-tier verdict for one field, in span-free core form. The
 /// cheap syntactic and refined tiers are recomputed at materialization
 /// (they are trivial filters over the access group); only the
-/// expensive object-attribution decisions are cached.
-#[derive(Debug, Clone)]
+/// expensive object-attribution decisions are carried.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FieldCore {
     /// False when some thread-phase access could not be attributed to
     /// an object every relevant root reaches — the refined verdict is
@@ -213,7 +559,7 @@ pub(crate) struct FieldCore {
 }
 
 /// One contested abstract object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ObjVerdictCore {
     pub(crate) object: ObjId,
     pub(crate) instances: BTreeSet<ObjId>,
@@ -223,188 +569,15 @@ pub(crate) struct ObjVerdictCore {
     pub(crate) positions: Vec<u32>,
 }
 
-/// Builds all three candidate tiers; with a [`DemandCtx`] attached the
-/// per-method access lists and per-field alias verdicts are served from
-/// the tail memo when their supporting facts are unchanged.
-pub(crate) fn analyze_demand(
-    program: &Program,
-    table: &ClassTable,
-    graph: &CallGraph,
-    pt: &PointsTo,
-    mut ctx: Option<&mut DemandCtx>,
-) -> RaceReport {
-    // Thread roots: the `run` methods of Thread subclasses. Each root
-    // taints the methods its run can reach.
-    let mut reach_by_root: BTreeMap<String, BTreeSet<MethodRef>> = BTreeMap::new();
-    for class in &program.classes {
-        if table.is_subclass_of(&class.name, "Thread") && class.method("run").is_some() {
-            let root = MethodRef::method(&class.name, "run");
-            reach_by_root.insert(class.name.clone(), graph.reachable_from([&root]));
-        }
-    }
-    // Init phase: everything reachable from constructors.
-    let ctor_roots: Vec<MethodRef> = program
-        .classes
-        .iter()
-        .flat_map(|c| {
-            c.ctors
-                .iter()
-                .map(|d| MethodRef::ctor(&c.name, d.params.len()))
-        })
-        .collect();
-    let init_reach = graph.reachable_from(ctor_roots.iter());
-
-    // Per access: the abstract objects holding the accessed field
-    // (`None` = unresolvable), parallel to `accesses`.
-    let ix = ctx.as_ref().map(|c| c.ix);
-    let mut maps = Maps::new(ix);
-    let mut accesses: Vec<Access> = Vec::new();
-    let mut holder_sets: Vec<Option<BTreeSet<ObjId>>> = Vec::new();
-    for (class, decl, mref) in crate::each_method(program) {
-        let thread_roots: BTreeSet<String> = reach_by_root
-            .iter()
-            .filter(|(_, reach)| reach.contains(&mref))
-            .map(|(root, _)| root.clone())
-            .collect();
-        let in_init_phase = mref.is_ctor || init_reach.contains(&mref);
-        let Some(map) = maps.get(program, &mref) else {
-            continue;
-        };
-        let cores = match ctx.as_deref_mut() {
-            Some(c) => {
-                let mkey = c.ix.method_key(&mref).unwrap_or_default();
-                let key = combine(&[Fp(0x5241), mkey, c.ix.sig, c.relation_fp]);
-                demand(
-                    &mut c.memo.access,
-                    key,
-                    c.revision,
-                    &mut c.hits,
-                    &mut c.misses,
-                    || compute_access_cores(program, table, class, decl, &mref, pt, map),
-                )
-            }
-            None => compute_access_cores(program, table, class, decl, &mref, pt, map),
-        };
-        for core in cores {
-            let (_, span) = map.expr(core.expr_index as usize);
-            accesses.push(Access {
-                field: core.field,
-                span,
-                method: mref.clone(),
-                is_write: core.is_write,
-                thread_roots: thread_roots.clone(),
-                in_init_phase,
-            });
-            holder_sets.push(core.holders);
-        }
-    }
-    // Keep the report's access list in stable source order; sort the
-    // holder sets along with it (by moving, not cloning — access
-    // groups are the hot state of a warm re-check).
-    let mut pairs: Vec<(Access, Option<BTreeSet<ObjId>>)> =
-        accesses.into_iter().zip(holder_sets).collect();
-    pairs.sort_by(|(a, _), (b, _)| {
-        (&a.field, a.span.start, a.span.end).cmp(&(&b.field, b.span.start, b.span.end))
-    });
-    let (accesses, holder_sets): (Vec<Access>, Vec<Option<BTreeSet<ObjId>>>) =
-        pairs.into_iter().unzip();
-
-    // Group by field (indices into the parallel vectors).
-    let mut by_field: BTreeMap<FieldId, Vec<usize>> = BTreeMap::new();
-    for (i, a) in accesses.iter().enumerate() {
-        by_field.entry(a.field.clone()).or_default().push(i);
-    }
-
-    // Thread instances per thread class: the points-to objects of the
-    // class (or a subclass).
-    let thread_sites: BTreeMap<&String, BTreeSet<ObjId>> = reach_by_root
-        .keys()
-        .map(|root| (root, pt.instances_of(root)))
-        .collect();
-    let mut reach_cache: BTreeMap<ObjId, BTreeSet<ObjId>> = BTreeMap::new();
-    let mut reaches = |tau: ObjId, o: ObjId| -> bool {
-        reach_cache
-            .entry(tau)
-            .or_insert_with(|| pt.reachable(tau))
-            .contains(&o)
-    };
-
-    let mut report = RaceReport::default();
-    for (field, idxs) in &by_field {
-        let core = match ctx.as_deref_mut() {
-            Some(c) => {
-                let key = field_group_key(field, idxs, &accesses, &holder_sets, c.relation_fp);
-                demand(
-                    &mut c.memo.fields,
-                    key,
-                    c.revision,
-                    &mut c.hits,
-                    &mut c.misses,
-                    || field_verdict_core(idxs, &accesses, &holder_sets, &thread_sites, &mut reaches),
-                )
-            }
-            None => field_verdict_core(idxs, &accesses, &holder_sets, &thread_sites, &mut reaches),
-        };
-        materialize_field(field, idxs, &core, &accesses, pt, &mut report);
-    }
-    report.cleared = report
-        .syntactic
-        .iter()
-        .filter(|f| report.refined.iter().all(|r| &r.field != *f))
-        .cloned()
-        .collect();
-    report.accesses = accesses;
-    report
-}
-
-/// Digest of everything a field's alias-tier verdict depends on: the
-/// relation fingerprint plus the ordered access group — per access, the
-/// accessing method's identity, its phase attribution, the access kind,
-/// and the canonical holder set. Any reorder, rename, or attribution
-/// change perturbs the digest; span shifts do not.
-fn field_group_key(
-    field: &FieldId,
+/// Computes the alias-tier attribution for one field's access group:
+/// pure in the group's accesses (method, attribution, kind, holders in
+/// group order), the thread classes' instances and the heap, so a
+/// carried core is exactly what a fresh computation produces while
+/// those stand.
+pub(crate) fn field_verdict_core(
     idxs: &[usize],
     accesses: &[Access],
-    holder_sets: &[Option<BTreeSet<ObjId>>],
-    relation_fp: Fp,
-) -> Fp {
-    let mut h = StructHasher::new();
-    h.tag(0x46);
-    h.u64(relation_fp.0);
-    h.str(&field.class);
-    h.str(&field.field);
-    h.u64(idxs.len() as u64);
-    for &i in idxs {
-        let a = &accesses[i];
-        h.member(&a.method);
-        h.u64(a.thread_roots.len() as u64);
-        for root in &a.thread_roots {
-            h.str(root);
-        }
-        h.bool(a.in_init_phase);
-        h.bool(a.is_write);
-        match &holder_sets[i] {
-            None => h.tag(0),
-            Some(hs) => {
-                h.tag(1);
-                h.u64(hs.len() as u64);
-                for o in hs {
-                    h.u64(o.0 as u64);
-                }
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Computes the alias-tier attribution for one field's access group —
-/// pure in the inputs digested by [`field_group_key`], so a cached core
-/// replays exactly what a fresh computation would produce.
-fn field_verdict_core(
-    idxs: &[usize],
-    accesses: &[Access],
-    holder_sets: &[Option<BTreeSet<ObjId>>],
+    holder_sets: &[Option<&BTreeSet<ObjId>>],
     thread_sites: &BTreeMap<&String, BTreeSet<ObjId>>,
     reaches: &mut impl FnMut(ObjId, ObjId) -> bool,
 ) -> FieldCore {
@@ -426,7 +599,7 @@ fn field_verdict_core(
         if a.thread_roots.is_empty() || a.in_init_phase {
             continue;
         }
-        let Some(holders) = &holder_sets[i] else {
+        let Some(holders) = holder_sets[i] else {
             resolved = false;
             break;
         };

@@ -31,12 +31,13 @@
 //!   instruction bounds ([`SummaryReport::wcet`]) across calls.
 
 use crate::callgraph::CallGraph;
-use crate::demand::{demand, idx32, DemandCtx, Maps, MemoSlot};
+use crate::db::TailCause;
+use crate::demand::{idx32, BlockTail, Maps, Pass, TailState, IKEY, SUMMARY, TRIPS};
 use crate::escape::{self, EscapeSummary};
 use crate::evidence::{AccessRef, BoundDerivation, ChainLink, Evidence, SiteRef, Verdict};
-use crate::fingerprint::{combine, Fp, NodeMap, StructHasher};
+use crate::fingerprint::{Fp, NodeMap, StructHasher};
 use crate::loops::{self, fold_const, BoundStatus};
-use crate::pointsto::{self, resolve_call, CallTarget, ObjId, PointsTo};
+use crate::pointsto::{self, resolve_call, CallTarget, ObjId, PointsTo, PtChange};
 use crate::purity::{self, PuritySummary};
 use crate::races::{field_events, FieldId, HolderRef};
 use crate::{bounds, decl_of, MethodRef};
@@ -171,7 +172,7 @@ pub fn analyze_with_bounds_k(
     }
 
     let pt = Arc::new(pointsto::analyze_k(program, table, k));
-    derive_products(program, table, graph, interval_proved, pt, &mut report, None);
+    derive_products(program, table, graph, interval_proved, pt, &mut report);
     report
 }
 
@@ -244,13 +245,12 @@ pub(crate) fn compute_scc(
 /// Derives the per-revision products from finished summaries and the
 /// supplied points-to relation: R13/R14 findings, call-site loop
 /// proofs, WCET bounds, and the proof-carrying evidence behind each
-/// verdict. `report.methods` must already be populated. Shared by the
-/// batch driver above and the incremental database (which injects a
-/// cached, rebased relation instead of re-solving, and attaches a
-/// [`DemandCtx`] so each product is served from the tail memo when its
-/// supporting facts are unchanged). Both paths run the same
-/// core-compute/materialize code, so batch ≡ incremental by
-/// construction.
+/// verdict. `report.methods` must already be populated. The batch
+/// driver above computes every core; the incremental database runs
+/// [`derive_products_carried`], which computes the same cores for the
+/// edit's changed set only. Both materialize through the same code, so
+/// batch ≡ incremental holds whenever the carried cores are the ones a
+/// cold run computes.
 pub(crate) fn derive_products(
     program: &Program,
     table: &ClassTable,
@@ -258,22 +258,54 @@ pub(crate) fn derive_products(
     interval_proved: &BTreeMap<NodeId, u64>,
     pt: Arc<PointsTo>,
     report: &mut SummaryReport,
-    mut ctx: Option<&mut DemandCtx>,
 ) {
-    find_impure_blocks(program, table, graph, &pt, report, ctx.as_deref_mut());
+    find_impure_blocks(program, table, graph, &pt, report);
     report.pointsto = pt;
-    find_alias_leaks(program, table, report, ctx.as_deref_mut());
-    prove_call_bounds(program, table, report, ctx.as_deref_mut());
-    loop_bound_evidence(program, interval_proved, report, ctx.as_deref_mut());
+    find_alias_leaks(program, table, report);
+    prove_call_bounds(program, table, report);
+    loop_bound_evidence(program, interval_proved, report);
+    let merged = merged_bounds(interval_proved, &report.call_proved_bounds);
+    report.wcet = bounds::instruction_bounds_with_flow(program, table, &merged);
+}
 
+/// [`derive_products`] over the carried tail `state`: each product's
+/// cores re-run for the methods (and blocks) whose inputs the `pass`
+/// flags as changed, and are served from `state` for every other one.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn derive_products_carried(
+    program: &Program,
+    table: &ClassTable,
+    graph: &CallGraph,
+    interval_proved: &BTreeMap<NodeId, u64>,
+    pt: Arc<PointsTo>,
+    report: &mut SummaryReport,
+    state: &mut TailState,
+    pass: &mut Pass,
+) {
+    impure_blocks_carried(program, table, graph, &pt, report, state, pass);
+    report.pointsto = pt;
+    alias_leaks_carried(table, report, state, pass);
+    call_bounds_carried(program, table, report, state, pass);
+    loop_evidence_carried(interval_proved, report, state, pass);
+    let merged = merged_bounds(interval_proved, &report.call_proved_bounds);
+    report.wcet = wcet_carried(program, table, graph, &merged, state, pass);
+}
+
+/// The interval proofs with the call-site proofs added where the
+/// interval tier has none (it is flow-sensitive and at least as
+/// precise).
+pub(crate) fn merged_bounds<'a>(
+    interval_proved: &'a BTreeMap<NodeId, u64>,
+    call_proved: &BTreeMap<NodeId, u64>,
+) -> std::borrow::Cow<'a, BTreeMap<NodeId, u64>> {
+    if call_proved.is_empty() {
+        return std::borrow::Cow::Borrowed(interval_proved);
+    }
     let mut merged = interval_proved.clone();
-    for (&id, &trips) in &report.call_proved_bounds {
+    for (&id, &trips) in call_proved {
         merged.entry(id).or_insert(trips);
     }
-    report.wcet = match ctx {
-        Some(c) => wcet_demand(program, table, graph, &merged, c),
-        None => bounds::instruction_bounds_with_flow(program, table, &merged),
-    };
+    std::borrow::Cow::Owned(merged)
 }
 
 /// Checks that `o` is owned by `block` — it is a block instance itself,
@@ -369,65 +401,108 @@ fn find_impure_blocks(
     graph: &CallGraph,
     pt: &PointsTo,
     report: &mut SummaryReport,
-    mut ctx: Option<&mut DemandCtx>,
 ) {
-    let ix = ctx.as_ref().map(|c| c.ix);
-    let mut maps = Maps::new(ix);
-    let mut findings: BTreeMap<(String, FieldId), OwnershipDraft> = BTreeMap::new();
-    let mut cleared: BTreeMap<(String, FieldId), (MethodRef, u32)> = BTreeMap::new();
-    for block in &program.classes {
-        if !table.is_subclass_of(&block.name, "ASR") || block.method("run").is_none() {
-            continue;
-        }
+    let mut maps = Maps::new(None);
+    let mut cores: Vec<(&str, OwnershipCore)> = Vec::new();
+    for block in asr_blocks(program, table) {
         let run = MethodRef::method(&block.name, "run");
         let reach = graph.reachable_from([&run]);
-        let core = match ctx.as_deref_mut() {
-            Some(c) => {
-                let key = ownership_key(&block.name, &reach, &report.methods, c);
-                demand(
-                    &mut c.memo.ownership,
-                    key,
-                    c.revision,
-                    &mut c.hits,
-                    &mut c.misses,
-                    || {
-                        compute_ownership_core(
-                            program,
-                            table,
-                            pt,
-                            &report.methods,
-                            block,
-                            &reach,
-                            &mut maps,
-                        )
-                    },
-                )
-            }
-            None => compute_ownership_core(
-                program,
-                table,
-                pt,
-                &report.methods,
-                block,
-                &reach,
-                &mut maps,
-            ),
+        let core =
+            compute_ownership_core(program, table, pt, &report.methods, block, &reach, &mut maps);
+        cores.push((&block.name, core));
+    }
+    let cores = cores.iter().map(|(b, c)| (*b, c));
+    materialize_ownership(program, pt, cores, &mut maps, report);
+}
+
+/// The ASR blocks of `program`: subclasses of `ASR` that declare `run`.
+pub(crate) fn asr_blocks<'p>(
+    program: &'p Program,
+    table: &'p ClassTable,
+) -> impl Iterator<Item = &'p ClassDecl> {
+    program
+        .classes
+        .iter()
+        .filter(move |c| table.is_subclass_of(&c.name, "ASR") && c.method("run").is_some())
+}
+
+/// [`find_impure_blocks`] over the carried verdicts: a block re-runs
+/// when a method its `run` reaches changed its key (its reach is walked
+/// again) or its summary, or when the points-to relation changed.
+fn impure_blocks_carried(
+    program: &Program,
+    table: &ClassTable,
+    graph: &CallGraph,
+    pt: &PointsTo,
+    report: &mut SummaryReport,
+    state: &mut TailState,
+    pass: &mut Pass,
+) {
+    let mut maps = Maps::new(Some(pass.ix));
+    let pt_changed = !matches!(pass.pt, PtChange::Unchanged);
+    let mut old = std::mem::take(&mut state.blocks);
+    for block in asr_blocks(program, table) {
+        let run = MethodRef::method(&block.name, "run");
+        let carried = old.remove(&block.name).filter(|_| pass.all.is_none());
+        let cause = match &carried {
+            None => Some(pass.all.unwrap_or(TailCause::MethodKey)),
+            Some(b) if state.touches(&pass.edited, &b.reach) => Some(TailCause::MethodKey),
+            Some(b) if state.touches(&pass.resummarized, &b.reach) => Some(TailCause::Summary),
+            Some(_) if pt_changed => Some(TailCause::PtSlice),
+            Some(_) => None,
         };
-        for (field, draft) in core.findings {
-            findings.insert((block.name.clone(), field), draft);
+        let slot = state.slot_of(&run).expect("`run` is a declared method");
+        let entry = match carried {
+            Some(b) if !pass.note(slot, cause) => b,
+            carried => {
+                let reach = match carried {
+                    Some(b) if cause != Some(TailCause::MethodKey) => b.reach,
+                    _ => graph.reachable_from([&run]),
+                };
+                let core = compute_ownership_core(
+                    program,
+                    table,
+                    pt,
+                    &report.methods,
+                    block,
+                    &reach,
+                    &mut maps,
+                );
+                BlockTail { reach, core }
+            }
+        };
+        state.blocks.insert(block.name.clone(), entry);
+    }
+    let cores = state.blocks.iter().map(|(b, t)| (b.as_str(), &t.core));
+    materialize_ownership(program, pt, cores, &mut maps, report);
+}
+
+/// Renders the R13 cores of every block into findings and evidence.
+fn materialize_ownership<'c>(
+    program: &Program,
+    pt: &PointsTo,
+    cores: impl Iterator<Item = (&'c str, &'c OwnershipCore)>,
+    maps: &mut Maps,
+    report: &mut SummaryReport,
+) {
+    let mut findings: BTreeMap<(&str, &FieldId), &OwnershipDraft> = BTreeMap::new();
+    let mut cleared: BTreeMap<(&str, &FieldId), &(MethodRef, u32)> = BTreeMap::new();
+    for (block, core) in cores {
+        for (field, draft) in &core.findings {
+            findings.insert((block, field), draft);
         }
-        for (field, rec) in core.cleared {
-            cleared.insert((block.name.clone(), field), rec);
+        for (field, rec) in &core.cleared {
+            cleared.insert((block, field), rec);
         }
     }
     for key in findings.keys() {
         cleared.remove(key);
     }
     for ((block, field), (method, expr_index)) in cleared {
-        let span = span_of_expr(program, &mut maps, &method, expr_index);
+        let span = span_of_expr(program, maps, method, *expr_index);
         report.evidence.push(Evidence::Ownership {
             verdict: Verdict::Cleared,
-            block,
+            block: block.to_string(),
             field: field.to_string(),
             write: AccessRef {
                 method: method.to_string(),
@@ -440,10 +515,10 @@ fn find_impure_blocks(
     }
     let mut impure: Vec<BlockImpurity> = Vec::new();
     for ((block, field), draft) in findings {
-        let span = span_of_expr(program, &mut maps, &draft.method, draft.expr_index);
+        let span = span_of_expr(program, maps, &draft.method, draft.expr_index);
         report.evidence.push(Evidence::Ownership {
             verdict: Verdict::Finding,
-            block: block.clone(),
+            block: block.to_string(),
             field: field.to_string(),
             write: AccessRef {
                 method: draft.method.to_string(),
@@ -451,12 +526,12 @@ fn find_impure_blocks(
                 is_write: true,
             },
             chain: owner_chain_links(pt, &draft.chain),
-            reason: draft.reason,
+            reason: draft.reason.clone(),
         });
         impure.push(BlockImpurity {
-            block,
-            method: draft.method,
-            field,
+            block: block.to_string(),
+            method: draft.method.clone(),
+            field: field.clone(),
             span,
         });
     }
@@ -466,7 +541,7 @@ fn find_impure_blocks(
 /// Span-free R13 verdicts for one block: per written field (first draft
 /// wins, matching the cold `or_insert`), either an ownership-violation
 /// draft or a cleared record `(method, expr index)`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct OwnershipCore {
     pub(crate) findings: BTreeMap<FieldId, OwnershipDraft>,
     pub(crate) cleared: BTreeMap<FieldId, (MethodRef, u32)>,
@@ -475,7 +550,7 @@ pub(crate) struct OwnershipCore {
 /// A finding in the making: the writing method, the pre-order index of
 /// the writing expression, the owner-chain witness as canonical object
 /// ids, and the terminal judgment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct OwnershipDraft {
     pub(crate) method: MethodRef,
     pub(crate) expr_index: u32,
@@ -483,42 +558,10 @@ pub(crate) struct OwnershipDraft {
     pub(crate) reason: String,
 }
 
-/// Digest of everything one block's R13 verdict depends on: the
-/// points-to relation, the class hierarchy, and the reachable methods
-/// with their body fingerprints and purity-prune status.
-fn ownership_key(
-    block: &str,
-    reach: &BTreeSet<MethodRef>,
-    methods: &BTreeMap<MethodRef, MethodSummary>,
-    c: &DemandCtx,
-) -> Fp {
-    let mut h = StructHasher::new();
-    h.tag(0x4f);
-    h.u64(c.relation_fp.0);
-    h.u64(c.ix.sig.0);
-    h.str(block);
-    h.u64(reach.len() as u64);
-    for mref in reach {
-        h.member(mref);
-        match c.ix.method_key(mref) {
-            Some(k) => {
-                h.tag(1);
-                h.u64(k.0);
-            }
-            None => h.tag(0),
-        }
-        h.bool(
-            methods
-                .get(mref)
-                .is_some_and(|s| s.purity.writes.is_empty() && !s.purity.diverged),
-        );
-    }
-    h.finish()
-}
-
 /// Runs the R13 ownership discipline over one block's reachable
-/// methods — pure in the inputs digested by [`ownership_key`].
-fn compute_ownership_core(
+/// methods: pure in the relation, the class table, and the reachable
+/// methods' bodies and purity summaries.
+pub(crate) fn compute_ownership_core(
     program: &Program,
     table: &ClassTable,
     pt: &PointsTo,
@@ -639,14 +682,8 @@ fn is_mutable_target(table: &ClassTable, ty: &Type) -> bool {
 /// R14: methods whose escape summary returns or leaks a `this`-held
 /// reference field with mutable target state. Escape candidates whose
 /// target carries no mutable state are recorded as cleared evidence.
-fn find_alias_leaks(
-    program: &Program,
-    table: &ClassTable,
-    report: &mut SummaryReport,
-    mut ctx: Option<&mut DemandCtx>,
-) {
-    let ix = ctx.as_ref().map(|c| c.ix);
-    let mut maps = Maps::new(ix);
+fn find_alias_leaks(program: &Program, table: &ClassTable, report: &mut SummaryReport) {
+    let mut maps = Maps::new(None);
     let mut leaks: Vec<AliasLeak> = Vec::new();
     for (_, decl, mref) in crate::each_method(program) {
         if mref.is_ctor {
@@ -655,66 +692,93 @@ fn find_alias_leaks(
         let Some(summary) = report.methods.get(&mref) else {
             continue;
         };
-        let es = &summary.escape;
         let Some(map) = maps.get(program, &mref) else {
             continue;
         };
-        let cores = match ctx.as_deref_mut() {
-            Some(c) => {
-                let key = leak_key(&mref, es, c);
-                demand(
-                    &mut c.memo.leaks,
-                    key,
-                    c.revision,
-                    &mut c.hits,
-                    &mut c.misses,
-                    || compute_leak_cores(table, decl, &mref, es, map),
-                )
-            }
-            None => compute_leak_cores(table, decl, &mref, es, map),
-        };
-        for core in cores {
-            let decl_span: crate::evidence::SpanRef = decl.span.into();
-            if core.mutable {
-                let witness_span = core
-                    .witness_stmt
-                    .map_or(decl_span, |i| map.stmt(i as usize).1.into());
-                report.evidence.push(Evidence::AliasLeak {
-                    verdict: Verdict::Finding,
-                    class: mref.class.clone(),
-                    method: mref.method.clone(),
-                    field: core.field.clone(),
-                    via_return: core.via_return,
-                    decl_span,
-                    witness_span,
-                    mutable_because: core.because,
-                });
-                leaks.push(AliasLeak {
-                    class: mref.class.clone(),
-                    method: mref.method.clone(),
-                    field: core.field,
-                    span: decl.span,
-                    via_return: core.via_return,
-                });
-            } else {
-                report.evidence.push(Evidence::AliasLeak {
-                    verdict: Verdict::Cleared,
-                    class: mref.class.clone(),
-                    method: mref.method.clone(),
-                    field: core.field,
-                    via_return: core.via_return,
-                    decl_span,
-                    witness_span: decl_span,
-                    mutable_because: core.because,
-                });
-            }
-        }
+        let cores = compute_leak_cores(table, decl, &mref, &summary.escape, map);
+        materialize_leaks(&mref, decl, map, &cores, &mut report.evidence, &mut leaks);
     }
     report.alias_leaks = leaks;
 }
 
+/// [`find_alias_leaks`] over the carried cores: a method re-runs when
+/// its key or its summary changed.
+fn alias_leaks_carried(
+    table: &ClassTable,
+    report: &mut SummaryReport,
+    state: &mut TailState,
+    pass: &mut Pass,
+) {
+    let mut leaks: Vec<AliasLeak> = Vec::new();
+    for &i in &state.order {
+        let slot = &mut state.slots[i];
+        if slot.mref.is_ctor {
+            continue;
+        }
+        let ((_, decl), map) = (pass.decls[i], pass.maps[i]);
+        let cause = pass
+            .key_cause(i)
+            .or_else(|| (pass.own[i] & SUMMARY != 0).then_some(TailCause::Summary));
+        if pass.note(i, cause) {
+            slot.leaks = match report.methods.get(&slot.mref) {
+                Some(s) => compute_leak_cores(table, decl, &slot.mref, &s.escape, map),
+                None => Vec::new(),
+            };
+        }
+        materialize_leaks(&slot.mref, decl, map, &slot.leaks, &mut report.evidence, &mut leaks);
+    }
+    report.alias_leaks = leaks;
+}
+
+/// Renders one method's R14 cores into findings and evidence.
+fn materialize_leaks(
+    mref: &MethodRef,
+    decl: &MethodDecl,
+    map: &NodeMap,
+    cores: &[LeakCore],
+    evidence: &mut Vec<Evidence>,
+    leaks: &mut Vec<AliasLeak>,
+) {
+    for core in cores {
+        let decl_span: crate::evidence::SpanRef = decl.span.into();
+        if core.mutable {
+            let witness_span = core
+                .witness_stmt
+                .map_or(decl_span, |i| map.stmt(i as usize).1.into());
+            evidence.push(Evidence::AliasLeak {
+                verdict: Verdict::Finding,
+                class: mref.class.clone(),
+                method: mref.method.clone(),
+                field: core.field.clone(),
+                via_return: core.via_return,
+                decl_span,
+                witness_span,
+                mutable_because: core.because.clone(),
+            });
+            leaks.push(AliasLeak {
+                class: mref.class.clone(),
+                method: mref.method.clone(),
+                field: core.field.clone(),
+                span: decl.span,
+                via_return: core.via_return,
+            });
+        } else {
+            evidence.push(Evidence::AliasLeak {
+                verdict: Verdict::Cleared,
+                class: mref.class.clone(),
+                method: mref.method.clone(),
+                field: core.field.clone(),
+                via_return: core.via_return,
+                decl_span,
+                witness_span: decl_span,
+                mutable_because: core.because.clone(),
+            });
+        }
+    }
+}
+
 /// Span-free R14 verdict for one escape-candidate field of a method.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LeakCore {
     pub(crate) field: String,
     pub(crate) via_return: bool,
@@ -727,28 +791,9 @@ pub(crate) struct LeakCore {
     pub(crate) witness_stmt: Option<u32>,
 }
 
-/// Digest of everything a method's R14 verdicts depend on: its body,
-/// the signature table (field types and hierarchy), and the two escape
-/// sets its candidates are drawn from.
-fn leak_key(mref: &MethodRef, es: &EscapeSummary, c: &DemandCtx) -> Fp {
-    let mut h = StructHasher::new();
-    h.tag(0x4c);
-    h.u64(c.ix.sig.0);
-    h.u64(c.ix.method_key(mref).unwrap_or_default().0);
-    h.u64(es.returns_this_field.len() as u64);
-    for f in &es.returns_this_field {
-        h.str(f);
-    }
-    h.u64(es.leaked_this_fields.len() as u64);
-    for f in &es.leaked_this_fields {
-        h.str(f);
-    }
-    h.finish()
-}
-
 /// Runs the R14 mutable-target check for one method's escape
-/// candidates — pure in the inputs digested by [`leak_key`].
-fn compute_leak_cores(
+/// candidates: pure in its body, the class table, and its escape sets.
+pub(crate) fn compute_leak_cores(
     table: &ClassTable,
     decl: &MethodDecl,
     mref: &MethodRef,
@@ -946,119 +991,162 @@ pub(crate) fn trips_for(c: &TripCandidate, limit: i64) -> u64 {
 /// methods with no analyzable site, or any non-constant site, stay
 /// unproved). Each proof is recorded as call-site evidence carrying the
 /// full site list.
-fn prove_call_bounds(
-    program: &Program,
-    table: &ClassTable,
-    report: &mut SummaryReport,
-    mut ctx: Option<&mut DemandCtx>,
-) {
-    let ix = ctx.as_ref().map(|c| c.ix);
-    let mut maps = Maps::new(ix);
+fn prove_call_bounds(program: &Program, table: &ClassTable, report: &mut SummaryReport) {
+    let mut maps = Maps::new(None);
     // Candidate loops per method.
     let mut candidates: BTreeMap<MethodRef, Vec<TripCandidate>> = BTreeMap::new();
     for (_, decl, mref) in crate::each_method(program) {
         let Some(map) = maps.get(program, &mref) else {
             continue;
         };
-        let cores = match ctx.as_deref_mut() {
-            Some(c) => {
-                let key = combine(&[Fp(0x5443), c.ix.method_key(&mref).unwrap_or_default()]);
-                demand(
-                    &mut c.memo.trip_cands,
-                    key,
-                    c.revision,
-                    &mut c.hits,
-                    &mut c.misses,
-                    || compute_trip_cands(decl, map),
-                )
-            }
-            None => compute_trip_cands(decl, map),
-        };
-        if cores.is_empty() {
-            continue;
+        let cores = compute_trip_cands(decl, map);
+        if !cores.is_empty() {
+            candidates.insert(mref, candidates_of(&cores, map));
         }
-        let found: Vec<TripCandidate> = cores
-            .iter()
-            .map(|t| TripCandidate {
-                stmt_id: map.stmt(t.stmt_index as usize).0,
-                c0: t.c0,
-                inclusive: t.inclusive,
-                step: t.step,
-                param_index: t.param_index,
-            })
-            .collect();
-        candidates.insert(mref, found);
     }
     if candidates.is_empty() {
         return;
     }
-
-    // The shape of the candidate table — which targets have candidate
-    // loops, and at which parameter positions — is all a caller's
-    // folded contributions depend on; the frame constants only matter
-    // to the final proof.
-    let shape = {
-        let mut h = StructHasher::new();
-        h.tag(0x53);
-        h.u64(candidates.len() as u64);
-        for (target, cands) in &candidates {
-            h.member(target);
-            h.u64(cands.len() as u64);
-            for cand in cands {
-                h.u64(cand.param_index as u64);
-            }
-        }
-        h.finish()
-    };
-
-    // Fold every static call site's argument at each candidate's
-    // parameter position, keeping the site spans for the evidence
-    // trail. `None` poisons the method (open limit).
-    type SiteList = Vec<Vec<(Span, i64)>>;
     let mut sites: BTreeMap<MethodRef, Option<SiteList>> = BTreeMap::new();
     for (_, decl, caller) in crate::each_method(program) {
         let Some(map) = maps.get(program, &caller) else {
             continue;
         };
-        let contribs = match ctx.as_deref_mut() {
-            Some(c) => {
-                let key = combine(&[
-                    Fp(0x4353),
-                    c.ix.method_key(&caller).unwrap_or_default(),
-                    c.ix.sig,
-                    shape,
-                ]);
-                demand(
-                    &mut c.memo.call_sites,
-                    key,
-                    c.revision,
-                    &mut c.hits,
-                    &mut c.misses,
-                    || compute_contributions(program, table, decl, &caller, &candidates, map),
-                )
-            }
-            None => compute_contributions(program, table, decl, &caller, &candidates, map),
-        };
-        for contrib in contribs {
-            let n_cands = candidates[&contrib.target].len();
-            let span = map.expr(contrib.expr_index as usize).1;
-            let entry = sites
-                .entry(contrib.target)
-                .or_insert_with(|| Some(vec![Vec::new(); n_cands]));
-            match (entry.as_mut(), contrib.folded) {
-                (Some(acc), Some(vals)) => {
-                    for (slot, v) in acc.iter_mut().zip(vals) {
-                        slot.push((span, v));
-                    }
-                }
-                // A non-constant site (or an already-poisoned method)
-                // leaves the limit open.
-                _ => *entry = None,
-            }
+        let contribs = compute_contributions(program, table, decl, &caller, &candidates, map);
+        fold_sites(&contribs, map, &candidates, &mut sites);
+    }
+    prove_from_sites(program, &candidates, &sites, report);
+}
+
+/// [`prove_call_bounds`] over the carried cores: a method's loop frames
+/// re-run when its key changed, and its call-site folds when its key or
+/// the shape of the candidate table changed. Records, per method, the
+/// call-site-proved trips of its loops, which its WCET bound reads.
+fn call_bounds_carried(
+    program: &Program,
+    table: &ClassTable,
+    report: &mut SummaryReport,
+    state: &mut TailState,
+    pass: &mut Pass,
+) {
+    let mut candidates: BTreeMap<MethodRef, Vec<TripCandidate>> = BTreeMap::new();
+    for (i, slot) in state.slots.iter_mut().enumerate() {
+        let ((_, decl), map) = (pass.decls[i], pass.maps[i]);
+        if pass.note(i, pass.key_cause(i)) {
+            slot.trips = compute_trip_cands(decl, map);
+        }
+        if !slot.trips.is_empty() {
+            candidates.insert(slot.mref.clone(), candidates_of(&slot.trips, map));
         }
     }
+    if !candidates.is_empty() {
+        let shape = candidate_shape(&candidates);
+        let mut sites: BTreeMap<MethodRef, Option<SiteList>> = BTreeMap::new();
+        for &i in &state.order {
+            let slot = &mut state.slots[i];
+            let ((_, decl), map) = (pass.decls[i], pass.maps[i]);
+            let folded_against = slot.calls.as_ref().map(|(s, _)| *s);
+            let cause = pass
+                .key_cause(i)
+                .or_else(|| (folded_against != Some(shape)).then_some(TailCause::Summary));
+            if pass.note(i, cause) {
+                let contribs =
+                    compute_contributions(program, table, decl, &slot.mref, &candidates, map);
+                slot.calls = Some((shape, contribs));
+            }
+            if let Some((_, contribs)) = &slot.calls {
+                fold_sites(contribs, map, &candidates, &mut sites);
+            }
+        }
+        prove_from_sites(program, &candidates, &sites, report);
+    }
+    for (i, slot) in state.slots.iter_mut().enumerate() {
+        let trips: Vec<(u32, u64)> = slot
+            .trips
+            .iter()
+            .filter_map(|t| {
+                let id = pass.maps[i].stmt(t.stmt_index as usize).0;
+                Some((t.stmt_index, *report.call_proved_bounds.get(&id)?))
+            })
+            .collect();
+        if trips != slot.call_trips {
+            pass.own[i] |= TRIPS;
+            slot.call_trips = trips;
+        }
+    }
+}
 
-    for (mref, cands) in &candidates {
+/// One method's candidate loops, with the statements of this parse.
+pub(crate) fn candidates_of(cores: &[TripCandCore], map: &NodeMap) -> Vec<TripCandidate> {
+    cores
+        .iter()
+        .map(|t| TripCandidate {
+            stmt_id: map.stmt(t.stmt_index as usize).0,
+            c0: t.c0,
+            inclusive: t.inclusive,
+            step: t.step,
+            param_index: t.param_index,
+        })
+        .collect()
+}
+
+/// The shape of the candidate table — which targets have candidate
+/// loops, and at which parameter positions — which is all a caller's
+/// folded contributions depend on; the frame constants only matter to
+/// the final proof.
+pub(crate) fn candidate_shape(candidates: &BTreeMap<MethodRef, Vec<TripCandidate>>) -> Fp {
+    let mut h = StructHasher::new();
+    h.tag(0x53);
+    h.u64(candidates.len() as u64);
+    for (target, cands) in candidates {
+        h.member(target);
+        h.u64(cands.len() as u64);
+        for cand in cands {
+            h.u64(cand.param_index as u64);
+        }
+    }
+    h.finish()
+}
+
+/// Per candidate method, per candidate loop, the folded argument of
+/// every call site with its span; `None` poisons the method (a
+/// non-constant site leaves the limit open).
+type SiteList = Vec<Vec<(Span, i64)>>;
+
+/// Folds one caller's call-site contributions into `sites`.
+fn fold_sites(
+    contribs: &[CallContribution],
+    map: &NodeMap,
+    candidates: &BTreeMap<MethodRef, Vec<TripCandidate>>,
+    sites: &mut BTreeMap<MethodRef, Option<SiteList>>,
+) {
+    for contrib in contribs {
+        let n_cands = candidates[&contrib.target].len();
+        let span = map.expr(contrib.expr_index as usize).1;
+        let entry = sites
+            .entry(contrib.target.clone())
+            .or_insert_with(|| Some(vec![Vec::new(); n_cands]));
+        match (entry.as_mut(), &contrib.folded) {
+            (Some(acc), Some(vals)) => {
+                for (slot, v) in acc.iter_mut().zip(vals) {
+                    slot.push((span, *v));
+                }
+            }
+            // A non-constant site (or an already-poisoned method)
+            // leaves the limit open.
+            _ => *entry = None,
+        }
+    }
+}
+
+/// Turns the folded call sites into trip proofs and their evidence.
+fn prove_from_sites(
+    program: &Program,
+    candidates: &BTreeMap<MethodRef, Vec<TripCandidate>>,
+    sites: &BTreeMap<MethodRef, Option<SiteList>>,
+    report: &mut SummaryReport,
+) {
+    for (mref, cands) in candidates {
         let Some(Some(per_cand)) = sites.get(mref) else {
             continue;
         };
@@ -1088,7 +1176,7 @@ fn prove_call_bounds(
 
 /// Span-free parameter-bounded loop frame: [`TripCandidate`] with the
 /// statement identified by pre-order index instead of node id.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TripCandCore {
     pub(crate) stmt_index: u32,
     pub(crate) c0: i64,
@@ -1099,7 +1187,7 @@ pub(crate) struct TripCandCore {
 
 /// Matches every statement of one method against the parameter-bounded
 /// loop frame — pure in the method body (keyed by method fingerprint).
-fn compute_trip_cands(decl: &MethodDecl, map: &NodeMap) -> Vec<TripCandCore> {
+pub(crate) fn compute_trip_cands(decl: &MethodDecl, map: &NodeMap) -> Vec<TripCandCore> {
     let mut found: Vec<TripCandCore> = Vec::new();
     walk_stmts(&decl.body, &mut |stmt| {
         if let Some(c) = trip_frame(decl, stmt) {
@@ -1119,7 +1207,7 @@ fn compute_trip_cands(decl: &MethodDecl, map: &NodeMap) -> Vec<TripCandCore> {
 /// expression's pre-order index, and the folded constant argument per
 /// candidate loop of the target (`None` when some argument did not
 /// fold — the target's limit stays open).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CallContribution {
     pub(crate) target: MethodRef,
     pub(crate) expr_index: u32,
@@ -1129,7 +1217,7 @@ pub(crate) struct CallContribution {
 /// Folds one caller's static call sites against the candidate table —
 /// pure in the caller body, the signature table (dispatch), and the
 /// candidate shape.
-fn compute_contributions(
+pub(crate) fn compute_contributions(
     program: &Program,
     table: &ClassTable,
     decl: &MethodDecl,
@@ -1198,108 +1286,80 @@ fn loop_bound_evidence(
     program: &Program,
     interval_proved: &BTreeMap<NodeId, u64>,
     report: &mut SummaryReport,
-    mut ctx: Option<&mut DemandCtx>,
 ) {
-    let ix = ctx.as_ref().map(|c| c.ix);
-    let mut maps = Maps::new(ix);
+    let mut maps = Maps::new(None);
     for (_, decl, mref) in crate::each_method(program) {
         let Some(map) = maps.get(program, &mref) else {
             continue;
         };
-        let cores = match ctx.as_deref_mut() {
-            Some(c) => {
-                let key = loop_ev_key(&mref, interval_proved, map, c);
-                demand(
-                    &mut c.memo.loop_ev,
-                    key,
-                    c.revision,
-                    &mut c.hits,
-                    &mut c.misses,
-                    || compute_loop_ev(decl, &mref, interval_proved, map),
-                )
-            }
-            None => compute_loop_ev(decl, &mref, interval_proved, map),
-        };
-        for core in cores {
-            let loop_span = map.stmt(core.stmt_index as usize).1.into();
-            match core.proved {
-                Some(trips) => report.evidence.push(Evidence::LoopBound {
-                    verdict: Verdict::Cleared,
-                    method: mref.to_string(),
-                    loop_span,
-                    derivation: BoundDerivation::Interval { trips },
-                }),
-                None => report.evidence.push(Evidence::LoopBound {
-                    verdict: Verdict::Finding,
-                    method: mref.to_string(),
-                    loop_span,
-                    derivation: BoundDerivation::Unproved {
-                        obstruction: core.obstruction.unwrap_or_default(),
-                    },
-                }),
-            }
+        let cores = compute_loop_ev(decl, &mref, interval_proved, map);
+        if !cores.is_empty() {
+            materialize_loop_ev(&mref.to_string(), map, &cores, &mut report.evidence);
         }
+    }
+}
+
+/// [`loop_bound_evidence`] over the carried cores: a method re-runs
+/// when its interval key changed (its body, or its class's field
+/// lengths, from which the interval proofs inside it follow).
+fn loop_evidence_carried(
+    interval_proved: &BTreeMap<NodeId, u64>,
+    report: &mut SummaryReport,
+    state: &mut TailState,
+    pass: &mut Pass,
+) {
+    for &i in &state.order {
+        let slot = &mut state.slots[i];
+        let ((_, decl), map) = (pass.decls[i], pass.maps[i]);
+        let cause = pass
+            .key_cause(i)
+            .or_else(|| (pass.own[i] & IKEY != 0).then_some(TailCause::MethodKey));
+        if pass.note(i, cause) {
+            slot.loop_ev = compute_loop_ev(decl, &slot.mref, interval_proved, map);
+        }
+        materialize_loop_ev(&slot.label, map, &slot.loop_ev, &mut report.evidence);
+    }
+}
+
+/// Renders one method's R2 cores as evidence.
+fn materialize_loop_ev(
+    method: &str,
+    map: &NodeMap,
+    cores: &[LoopEvCore],
+    evidence: &mut Vec<Evidence>,
+) {
+    for core in cores {
+        let loop_span = map.stmt(core.stmt_index as usize).1.into();
+        evidence.push(Evidence::LoopBound {
+            verdict: if core.proved.is_some() {
+                Verdict::Cleared
+            } else {
+                Verdict::Finding
+            },
+            method: method.to_string(),
+            loop_span,
+            derivation: match core.proved {
+                Some(trips) => BoundDerivation::Interval { trips },
+                None => BoundDerivation::Unproved {
+                    obstruction: core.obstruction.clone().unwrap_or_default(),
+                },
+            },
+        });
     }
 }
 
 /// Span-free R2 evidence for one loop: interval-proved trips or the
 /// obstruction keeping the bound incalculable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LoopEvCore {
     pub(crate) stmt_index: u32,
     pub(crate) proved: Option<u64>,
     pub(crate) obstruction: Option<String>,
 }
 
-/// Digest of everything a method's R2 evidence depends on: its body and
-/// the interval-proved trip counts of the loops inside it (addressed by
-/// pre-order index, so a pure span shift leaves the digest unchanged).
-fn loop_ev_key(
-    mref: &MethodRef,
-    interval_proved: &BTreeMap<NodeId, u64>,
-    map: &NodeMap,
-    c: &DemandCtx,
-) -> Fp {
-    let mut h = StructHasher::new();
-    h.tag(0x45);
-    h.u64(c.ix.method_key(mref).unwrap_or_default().0);
-    let entries = bounds_by_index(map, interval_proved);
-    h.u64(entries.len() as u64);
-    for (i, t) in entries {
-        h.u64(u64::from(i));
-        h.u64(t);
-    }
-    h.finish()
-}
-
-/// The slice of a node-id-keyed bound map that lands inside one method,
-/// re-keyed by statement pre-order index. Scans only the bound entries
-/// inside the method's node-id range (bounds are sparse — proved loops
-/// only — so this beats a map probe per statement) and keeps entries
-/// that are statements of *this* map.
-fn bounds_by_index(map: &NodeMap, bounds: &BTreeMap<NodeId, u64>) -> BTreeMap<u32, u64> {
-    let mut out: BTreeMap<u32, u64> = BTreeMap::new();
-    if bounds.is_empty() || map.stmt_count() == 0 {
-        return out;
-    }
-    let (mut lo, _) = map.stmt(0);
-    let mut hi = lo;
-    for i in 1..map.stmt_count() {
-        let (id, _) = map.stmt(i);
-        lo = lo.min(id);
-        hi = hi.max(id);
-    }
-    for (&id, &trips) in bounds.range(lo..=hi) {
-        if let Some(i) = map.stmt_index(id) {
-            out.insert(idx32(i), trips);
-        }
-    }
-    out
-}
-
-/// Classifies one method's loops against the interval proofs — pure in
-/// the inputs digested by [`loop_ev_key`].
-fn compute_loop_ev(
+/// Classifies one method's loops against the interval proofs: pure in
+/// its body and the proofs inside it.
+pub(crate) fn compute_loop_ev(
     decl: &MethodDecl,
     mref: &MethodRef,
     interval_proved: &BTreeMap<NodeId, u64>,
@@ -1324,113 +1384,132 @@ fn compute_loop_ev(
     out
 }
 
-/// Per-method WCET bounds with bottom-up component keying: each
-/// call-graph SCC gets a digest of its members' identities and bodies,
-/// the proved loop bounds inside them, and its external callees'
-/// per-method keys; a method whose key is cached serves its bound
-/// directly, and the remaining methods are folded by
-/// [`bounds::instruction_bounds_seeded`] with the cached bounds
-/// pre-seeding its memo — only dirty regions of the call graph are
-/// re-walked.
-fn wcet_demand(
+/// The methods a WCET bound of `mref` (declared by `decl` in `class`)
+/// reads: its call-graph callees, and for a constructor the calls of
+/// the field initializers it pays for.
+pub(crate) fn wcet_callees(
+    graph: &CallGraph,
+    table: &ClassTable,
+    class: &ClassDecl,
+    decl: &MethodDecl,
+    mref: &MethodRef,
+) -> Vec<MethodRef> {
+    let mut callees: BTreeSet<MethodRef> = graph.callees(mref).cloned().collect();
+    if mref.is_ctor {
+        callees.extend(crate::callgraph::init_callees(table, class, decl));
+    }
+    callees.into_iter().collect()
+}
+
+/// Per-method WCET bounds over the carried ones: the methods whose own
+/// inputs changed (key, interval key, call-site-proved trips) and the
+/// methods that read their bounds, transitively, form a cone; its
+/// call-graph components are recomputed bottom-up, each only when it
+/// holds a changed method or a callee whose bound came out different —
+/// the early cutoff. Every other bound is carried.
+fn wcet_carried(
     program: &Program,
     table: &ClassTable,
     graph: &CallGraph,
     merged: &BTreeMap<NodeId, u64>,
-    c: &mut DemandCtx,
+    state: &mut TailState,
+    pass: &mut Pass,
 ) -> BTreeMap<MethodRef, Option<u64>> {
-    let mut wkeys: BTreeMap<MethodRef, Fp> = BTreeMap::new();
-    for scc in c.cond {
-        let mut h = StructHasher::new();
-        h.tag(0x57);
-        h.u64(c.ix.sig.0);
-        for m in scc {
-            h.member(m);
-            match c.ix.method_key(m) {
-                Some(k) => {
-                    h.tag(1);
-                    h.u64(k.0);
-                }
-                None => h.tag(0),
-            }
-            if let Some(map) = c.ix.node_map(m) {
-                let entries = bounds_by_index(map, merged);
-                h.u64(entries.len() as u64);
-                for (i, t) in entries {
-                    h.u64(u64::from(i));
-                    h.u64(t);
-                }
-            } else {
-                h.tag(2);
-            }
-            // External callees: the condensation is bottom-up, so their
-            // keys are already final (builtins have none — their cost
-            // is fixed by name, which is hashed). The edge sets are
-            // BTreeSets, so the walk is already sorted and
-            // deduplicated; the count is appended after the items.
-            let mut ext = 0u64;
-            for callee in graph.callees(m) {
-                let internal = if scc.len() == 1 {
-                    callee == &scc[0]
-                } else {
-                    scc.contains(callee)
-                };
-                if internal {
-                    continue;
-                }
-                ext += 1;
-                h.member(callee);
-                match wkeys.get(callee) {
-                    Some(k) => {
-                        h.tag(1);
-                        h.u64(k.0);
-                    }
-                    None => h.tag(0),
+    // Only a method whose key changed can read other methods now.
+    if pass.all.is_some() {
+        state.callers.clear();
+    }
+    for &i in &pass.edited {
+        let (class, decl) = pass.decls[i];
+        let slot = &mut state.slots[i];
+        let callees = wcet_callees(graph, table, class, decl, &slot.mref);
+        for c in &slot.callees {
+            if let Some(set) = state.callers.get_mut(c) {
+                set.remove(&slot.mref);
+                if set.is_empty() {
+                    state.callers.remove(c);
                 }
             }
-            h.u64(ext);
         }
-        let skey = h.finish();
-        for m in scc {
-            let mut mh = StructHasher::new();
-            mh.u64(skey.0);
-            mh.member(m);
-            wkeys.insert(m.clone(), mh.finish());
+        for c in &callees {
+            state
+                .callers
+                .entry(c.clone())
+                .or_default()
+                .insert(slot.mref.clone());
         }
+        slot.callees = callees;
     }
-
-    let mut seed: BTreeMap<MethodRef, Option<u64>> = BTreeMap::new();
-    let mut missing: Vec<(MethodRef, Option<Fp>)> = Vec::new();
-    for (_, _, mref) in crate::each_method(program) {
-        match wkeys.get(&mref).copied() {
-            Some(key) => match c.memo.wcet.get_mut(&key) {
-                Some(slot) => {
-                    slot.last_used = c.revision;
-                    c.hits += 1;
-                    seed.insert(mref, slot.value);
-                }
-                None => missing.push((mref, Some(key))),
-            },
-            None => missing.push((mref, None)),
+    let n = state.slots.len();
+    let own_cause = |pass: &Pass, i: usize| {
+        pass.key_cause(i)
+            .or_else(|| (pass.own[i] & IKEY != 0).then_some(TailCause::MethodKey))
+            .or_else(|| (pass.own[i] & TRIPS != 0).then_some(TailCause::Summary))
+    };
+    let mut dirty = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    for (i, d) in dirty.iter_mut().enumerate() {
+        if own_cause(pass, i).is_some() {
+            *d = true;
+            stack.push(i);
         }
     }
-    if missing.is_empty() {
-        return seed;
-    }
-    let full = bounds::instruction_bounds_seeded(program, table, merged, seed);
-    for (mref, key) in missing {
-        c.misses += 1;
-        if let (Some(key), Some(&value)) = (key, full.get(&mref)) {
-            c.memo.wcet.insert(
-                key,
-                MemoSlot {
-                    value,
-                    last_used: c.revision,
-                },
-            );
+    // The cone: the changed methods and every transitive reader.
+    let mut in_cone = vec![false; n];
+    let mut cone: Vec<usize> = Vec::new();
+    while let Some(i) = stack.pop() {
+        if std::mem::replace(&mut in_cone[i], true) {
+            continue;
+        }
+        cone.push(i);
+        for c in state.callers.get(&state.slots[i].mref).into_iter().flatten() {
+            stack.extend(state.slot_of(c).filter(|&j| !in_cone[j]));
         }
     }
-    full
+    cone.sort_unstable();
+    let succ: Vec<Vec<usize>> = cone
+        .iter()
+        .map(|&i| {
+            state.slots[i]
+                .callees
+                .iter()
+                .filter_map(|c| cone.binary_search(&state.slot_of(c)?).ok())
+                .collect()
+        })
+        .collect();
+    let mut changed = vec![false; n];
+    let mut rerun = 0u64;
+    // Components come callees first.
+    for scc in crate::callgraph::tarjan(cone.len(), &succ) {
+        let needed = scc
+            .iter()
+            .any(|&p| dirty[cone[p]] || succ[p].iter().any(|&q| changed[cone[q]]));
+        if !needed {
+            continue;
+        }
+        let targets: Vec<MethodRef> = scc.iter().map(|&p| state.slots[cone[p]].mref.clone()).collect();
+        let slots = &state.slots;
+        let seed = |m: &MethodRef| -> Option<Option<u64>> {
+            if targets.contains(m) {
+                return None;
+            }
+            let j = slots.binary_search_by(|s| s.mref.cmp(m)).ok()?;
+            Some(slots[j].wcet)
+        };
+        let values = bounds::bounds_of(program, table, merged, &targets, &seed);
+        for (&p, value) in scc.iter().zip(values) {
+            let i = cone[p];
+            let cause = own_cause(pass, i).unwrap_or(TailCause::Summary);
+            pass.note(i, Some(cause));
+            rerun += 1;
+            if state.slots[i].wcet != value {
+                changed[i] = true;
+                state.slots[i].wcet = value;
+            }
+        }
+    }
+    pass.hit(n as u64 - rerun);
+    state.slots.iter().map(|s| (s.mref.clone(), s.wcet)).collect()
 }
 
 #[cfg(test)]

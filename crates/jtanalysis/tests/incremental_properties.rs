@@ -15,6 +15,7 @@ use jtanalysis::{callgraph, evidence, flow, frontend};
 use jtlang::ast::Program;
 use jtlang::resolve::ClassTable;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One parameterized method body. The variants are structurally
 /// distinct on purpose: an edit that changes the variant changes the
@@ -146,7 +147,7 @@ fn assert_equivalent(warm: &FlowReport, batch: &FlowReport, p: &Program, t: &Cla
     assert!(failures.is_empty(), "evidence failed to re-verify: {failures:?}");
 }
 
-fn analyze_warm(db: &mut AnalysisDb, src: &str) -> (FlowReport, Program, ClassTable) {
+fn analyze_warm(db: &mut AnalysisDb, src: &str) -> (Arc<FlowReport>, Program, ClassTable) {
     let (p, t) = build(src);
     let g = callgraph::build(&p, &t);
     let report = db.analyze(&p, &t, &g);
@@ -207,6 +208,38 @@ proptest! {
         let (warm, p, t) = analyze_warm(&mut db, &edited_src);
         let batch = analyze_batch(&edited_src);
         assert_equivalent(&warm, &batch, &p, &t);
+    }
+
+    /// The carried tail against a cold recompute: after every revision
+    /// of a session (edits, span shifts, class reorders), each result
+    /// the changed set skipped — access lists, attribution, R14, R2,
+    /// loop frames, call-site folds, WCET bounds, R13 — must equal what
+    /// a cold computation derives from the same relation and summaries.
+    #[test]
+    fn carried_tail_matches_a_cold_recompute(
+        bodies in bodies_strategy(),
+        edits in proptest::collection::vec(
+            (0usize..METHODS, (0..VARIANTS, 0i64..1000), any::<bool>(), any::<bool>()),
+            1..5,
+        ),
+        order in order_strategy(),
+        new_order in order_strategy(),
+    ) {
+        let mut db = AnalysisDb::new();
+        let mut current = bodies;
+        let mut revisions = vec![source(&current, false, &order)];
+        for (edit_at, new_body, pad, reorder) in edits {
+            current[edit_at] = new_body;
+            revisions.push(source(&current, pad, if reorder { &new_order } else { &order }));
+        }
+        for src in &revisions {
+            let (p, t) = build(src);
+            let g = callgraph::build(&p, &t);
+            let warm = db.analyze(&p, &t, &g);
+            if let Err(e) = db.check_tail_against_cold(&p, &t, &g, &warm) {
+                panic!("{e}\n{src}");
+            }
+        }
     }
 
     /// A whole editing session: each revision edits one method, and

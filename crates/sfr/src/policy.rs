@@ -39,8 +39,9 @@ pub struct AnalysisContext<'a> {
     /// Blocking-call analysis.
     pub blocking: Vec<blocking::BlockingCall>,
     /// Flow-sensitive dataflow suite (CFG + lattice analyses): feeds the
-    /// precision upgrade of R2 and all of R10–R12.
-    pub flow: flow::FlowReport,
+    /// precision upgrade of R2 and all of R10–R12. Shared with the
+    /// database's revision replay cache.
+    pub flow: std::sync::Arc<flow::FlowReport>,
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -99,8 +100,10 @@ impl<'a> AnalysisContext<'a> {
             }
             (Some((db, None)), Some(r)) => db.analyze_with_registry(program, table, &graph, r),
             (Some((db, None)), None) => db.analyze(program, table, &graph),
-            (None, Some(r)) => flow::analyze_with_registry(program, table, &graph, r),
-            (None, None) => flow::analyze(program, table, &graph),
+            (None, Some(r)) => {
+                jtanalysis::db::AnalysisDb::new().analyze_with_registry(program, table, &graph, r)
+            }
+            (None, None) => jtanalysis::db::AnalysisDb::new().analyze(program, table, &graph),
         };
         AnalysisContext {
             alloc: alloc::analyze_with_graph(program, table, &graph),

@@ -297,19 +297,23 @@ fn main() {
                                 || s.pt_constraints_retracted != 0
                                 || s.pt_constraints_added != 0
                                 || s.demand_misses != 0
+                                || s.tail_visited != 0
                             {
                                 eprintln!(
                                     "jtlint: `{}` no-op revision re-ran the tail: \
                                      {} recomputed, {} scc misses, {} points-to \
                                      misses, {} constraints retracted, {} added, \
-                                     {} demand misses (expected all 0)",
+                                     {} demand misses, {} methods re-run (causes: {}) \
+                                     (expected all 0)",
                                     sample.name,
                                     s.recomputed,
                                     s.scc_misses,
                                     s.pointsto_misses,
                                     s.pt_constraints_retracted,
                                     s.pt_constraints_added,
-                                    s.demand_misses
+                                    s.demand_misses,
+                                    s.tail_visited,
+                                    s.tail_rerun.render()
                                 );
                                 warm_failures += 1;
                             }
