@@ -459,8 +459,7 @@ impl TailState {
         }
         if !candidates.is_empty() {
             let shape = summary::candidate_shape(&candidates);
-            for (class, decl, mref) in crate::each_method(program) {
-                let _ = class;
+            for (_, decl, mref) in crate::each_method(program) {
                 let (Some(i), Some(map)) = (self.slot_of(&mref), ix.node_map(&mref)) else {
                     continue;
                 };
