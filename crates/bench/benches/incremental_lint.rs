@@ -29,10 +29,10 @@
 //!
 //! Set `JT_BENCH_SMOKE=1` for a quick small-corpus run (CI).
 
-use jtanalysis::db::AnalysisDb;
-use jtanalysis::{callgraph, frontend};
+use jtanalysis::db::{AnalysisDb, TailCause};
+use jtanalysis::{callgraph, frontend, MethodRef};
 use jtlang::corpus::{self, GenConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -59,7 +59,7 @@ fn best_of(n: usize, mut f: impl FnMut()) -> f64 {
 /// statement to one method: a call to the class's next method, and an
 /// allocation into the class's `int[]` field, in methods spread over
 /// the corpus.
-fn structural_edits(base: &str, cfg: &GenConfig) -> Vec<String> {
+fn structural_edits(base: &str, cfg: &GenConfig) -> Vec<(String, MethodRef)> {
     let per_class = cfg.methods_per_class;
     let mut out = Vec::new();
     for class in [0, cfg.classes / 2, cfg.classes - 1] {
@@ -71,10 +71,41 @@ fn structural_edits(base: &str, cfg: &GenConfig) -> Vec<String> {
             let at = base.find(&format!("class G{class} {{\n")).expect("class");
             let header = format!("    int m{method}(int n) {{\n");
             let at = at + base[at..].find(&header).expect("method") + header.len();
-            out.push(format!("{}        {stmt}\n{}", &base[..at], &base[at..]));
+            let text = format!("{}        {stmt}\n{}", &base[..at], &base[at..]);
+            out.push((text, MethodRef::method(format!("G{class}"), format!("m{method}"))));
         }
     }
     out
+}
+
+/// The methods (and constructors) of `class`.
+fn class_size(program: &jtlang::ast::Program, class: &str) -> u64 {
+    jtanalysis::each_method(program).filter(|(c, _, _)| c.name == class).count() as u64
+}
+
+/// The methods that reach `m` in `graph`, `m` included: the WCET
+/// bounds an edit of `m` can change.
+fn callers_cone(
+    program: &jtlang::ast::Program,
+    graph: &callgraph::CallGraph,
+    m: &MethodRef,
+) -> u64 {
+    let mut callers: BTreeMap<&MethodRef, Vec<MethodRef>> = BTreeMap::new();
+    for (_, _, caller) in jtanalysis::each_method(program) {
+        for callee in graph.callees(&caller) {
+            callers.entry(callee).or_default().push(caller.clone());
+        }
+    }
+    let mut cone = BTreeSet::from([m.clone()]);
+    let mut work = vec![m.clone()];
+    while let Some(x) = work.pop() {
+        for c in callers.get(&x).into_iter().flatten() {
+            if cone.insert(c.clone()) {
+                work.push(c.clone());
+            }
+        }
+    }
+    cone.len() as u64
 }
 
 fn main() {
@@ -204,7 +235,7 @@ fn main() {
     let mut struct_tainted = 0u64;
     let mut struct_visited = 0u64;
     let mut struct_stats = jtanalysis::db::RunStats::default();
-    for edited in structural_edits(&base_src, &cfg) {
+    for (edited, method) in structural_edits(&base_src, &cfg) {
         let (ps, ts, gs) = parse(&edited);
         let mut db = AnalysisDb::new();
         db.analyze(&p, &t, &g);
@@ -217,6 +248,33 @@ fn main() {
         assert!(
             s.pt_tainted > 0,
             "a structural edit took the rebase path: {s:?}"
+        );
+        // The tail's changed set, by cause — counts that do not move
+        // with the host: the edited method's class changes its context
+        // (a field's length), an added call the WCET bound of every
+        // method that reaches it, and anything else is at most 1/8 of
+        // the methods.
+        let bounds = [
+            (TailCause::MethodKey, class_size(&ps, &method.class)),
+            (TailCause::Summary, callers_cone(&ps, &gs, &method)),
+        ];
+        let mut rest = s.tail_visited;
+        for (cause, bound) in bounds {
+            let n = s.tail_rerun.get(cause);
+            assert!(
+                n <= bound,
+                "an edit of {method} re-ran {n} tails for cause `{}`, more than the {bound} it can \
+                 reach (causes: {})",
+                cause.name(),
+                s.tail_rerun.render()
+            );
+            rest -= n;
+        }
+        assert!(
+            rest * 8 <= n_methods as u64,
+            "an edit of {method} re-ran {rest} tails for other causes (bound: 1/8 of \
+             {n_methods} methods; causes: {})",
+            s.tail_rerun.render()
         );
         struct_tail_ns = struct_tail_ns.max(s.tail_ns);
         struct_visited = struct_visited.max(s.tail_visited);
@@ -329,10 +387,12 @@ fn main() {
         "a structural edit tainted {struct_tainted} of {n_methods} methods (bound: 1/8): {struct_stats:?}"
     );
     // Likewise the tail: it re-runs the edit's changed set, a count that
-    // does not move with the host. A structural edit that adds a call
-    // also changes the WCET bound of every transitive caller, which the
-    // smoke corpus's 64 methods do not dilute (9 of 64 re-run), so that
-    // bound holds at full size only.
+    // does not move with the host. A structural edit re-runs every
+    // method of its class when it changes a field's length, and the
+    // WCET bounds of the callers of an added call; the smoke corpus's
+    // 8-method classes do not dilute that (9 of 64 re-run), so the whole
+    // changed set of a structural edit is bounded at full size only.
+    // Both sizes bound it per cause above.
     let mut bounded = vec![("the one-method edit", edit_stats.tail_visited, edit_stats.tail_rerun)];
     if !smoke {
         bounded.push(("a structural edit", struct_visited, struct_stats.tail_rerun));

@@ -437,6 +437,9 @@ pub struct AnalysisDb {
     /// The analysis tail's results, carried per method from the last
     /// analyzed revision ([`crate::demand`]).
     tail: TailState,
+    /// The replay key of the revision the tail was last brought to: a
+    /// replay of an older revision leaves the tail where it was.
+    tail_rkey: Fp,
     /// `(method key, interval key)` per method at the previous revision,
     /// for the `invalidated` statistic.
     prev_keys: BTreeMap<MethodRef, (Fp, Fp)>,
@@ -780,6 +783,7 @@ impl AnalysisDb {
         self.evict(revision);
         self.prev_keys = keys;
         self.index = ix;
+        self.tail_rkey = rkey;
         stats.cache_ns = laps.lap();
         stats.analyze_ns = laps.total();
         self.last = stats;
@@ -795,7 +799,10 @@ impl AnalysisDb {
     /// it analyzed last — `program` with `report`, the report that
     /// analysis returned — from scratch, and names the first carried
     /// result that differs. A check of the changed set: a result it
-    /// skipped must still be the one a cold run computes.
+    /// skipped must still be the one a cold run computes. When `program`
+    /// is a replayed revision other than the one the tail was last
+    /// brought to, the tail carries nothing of it and the check passes
+    /// without comparing.
     ///
     /// # Errors
     ///
@@ -808,6 +815,9 @@ impl AnalysisDb {
         graph: &CallGraph,
         report: &FlowReport,
     ) -> Result<(), String> {
+        if self.index.revision_fp(program) != self.tail_rkey {
+            return Ok(());
+        }
         self.tail
             .check_against_cold(program, table, graph, &self.index, report)
     }
@@ -1533,6 +1543,45 @@ mod tests {
         assert_eq!(warm.races, cold.races);
         let bump = MethodRef::method("Cell", "bump");
         assert!(warm.races.accesses.iter().any(|a| a.method == bump && a.in_init_phase));
+    }
+
+    #[test]
+    fn a_new_thread_instance_re_runs_a_field_verdict() {
+        // Only `Main`'s constructor changes: a second `W1` shares the
+        // `Cell`. No access list changes, but the thread instances do,
+        // and with them the alias verdict on `Cell.v`.
+        let base = "class Cell { public int v; Cell() { v = 0; } void bump() { v = v + 1; } }
+             class W1 extends Thread { private Cell c; W1(Cell x) { c = x; } public void run() { c.bump(); } }
+             class Main { Main() { Cell s = new Cell(); W1 a = new W1(s); } }";
+        let edit = base.replace("W1 a = new W1(s); }", "W1 a = new W1(s); W1 b = new W1(s); }");
+        let (warm, stats, cold) = warm_then_cold(base, &edit);
+        assert!(stats.tail_rerun.get(TailCause::PtSlice) >= 1, "{stats:?}");
+        assert_eq!(warm.races, cold.races);
+        assert!(!warm.races.alias_aware.is_empty(), "{:?}", warm.races);
+    }
+
+    #[test]
+    fn replaying_an_older_revision_leaves_the_tail_where_it_was() {
+        // A, B, A again, then C: the replay of A returns A's report while
+        // the tail stays at B (where `bump` is in the init phase), and C
+        // is brought forward from B.
+        let a = "class Cell { public int v; Cell() { v = 0; } void bump() { v = v + 1; } }
+             class W1 extends Thread { private Cell c; W1(Cell x) { c = x; } public void run() { c.bump(); } }
+             class W2 extends Thread { private Cell c; W2(Cell x) { c = x; } public void run() { c.bump(); } }
+             class Main { Main() { Cell s = new Cell(); W1 a = new W1(s); W2 b = new W2(s); } }";
+        let b = a.replace("W2 b = new W2(s); }", "W2 b = new W2(s); s.bump(); }");
+        let c = a.replace("v = v + 1;", "v = v + 2;");
+        let mut db = AnalysisDb::new();
+        for text in [a, &b, a, &c] {
+            let (p, t, g) = setup(text);
+            let warm = db.analyze(&p, &t, &g);
+            db.check_tail_against_cold(&p, &t, &g, &warm)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let cold = flow::analyze_batch(&p, &t, &g);
+            assert!(reports_equal(&warm, &cold));
+            assert_eq!(warm.races, cold.races);
+        }
+        assert_eq!(db.revision(), 3, "the second A is a replay");
     }
 
     #[test]

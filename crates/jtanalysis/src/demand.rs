@@ -472,6 +472,9 @@ impl TailState {
                 }
             }
         }
+        if self.fields != races::analyze_cold(program, table, graph, pt).1 {
+            return Err("the carried field race verdicts differ from a cold recompute".into());
+        }
         let mut maps = Maps::new(Some(ix));
         for block in summary::asr_blocks(program, table) {
             let run = MethodRef::method(&block.name, "run");

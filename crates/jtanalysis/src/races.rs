@@ -154,6 +154,17 @@ pub fn analyze_with_pointsto(
     graph: &CallGraph,
     pt: &PointsTo,
 ) -> RaceReport {
+    analyze_cold(program, table, graph, pt).0
+}
+
+/// [`analyze_with_pointsto`], also returning every field's alias-tier
+/// core.
+pub(crate) fn analyze_cold(
+    program: &Program,
+    table: &ClassTable,
+    graph: &CallGraph,
+    pt: &PointsTo,
+) -> (RaceReport, BTreeMap<FieldId, FieldCore>) {
     // Thread roots: the `run` methods of Thread subclasses. Each root
     // taints the methods its run can reach.
     let reach_by_root: BTreeMap<String, BTreeSet<MethodRef>> = thread_classes(program, table)
@@ -166,9 +177,10 @@ pub fn analyze_with_pointsto(
     let init_reach = graph.reachable_from(ctor_roots(program).iter());
 
     // Per access: the abstract objects holding the accessed field
-    // (`None` = unresolvable), paired with the access.
+    // (`None` = unresolvable), beside the access.
     let mut maps = Maps::new(None);
-    let mut pairs: Vec<(Access, Option<BTreeSet<ObjId>>)> = Vec::new();
+    let mut accesses: Vec<Access> = Vec::new();
+    let mut holders: Vec<Option<BTreeSet<ObjId>>> = Vec::new();
     for (class, decl, mref) in crate::each_method(program) {
         let thread_roots = attribution(&reach_by_root, &mref);
         let in_init_phase = mref.is_ctor || init_reach.contains(&mref);
@@ -177,20 +189,40 @@ pub fn analyze_with_pointsto(
         };
         for core in compute_access_cores(program, table, class, decl, &mref, pt, map, None) {
             let (_, span) = map.expr(core.expr_index as usize);
-            let access = Access {
+            accesses.push(Access {
                 field: core.field,
                 span,
                 method: mref.clone(),
                 is_write: core.is_write,
                 thread_roots: thread_roots.clone(),
                 in_init_phase,
-            };
-            pairs.push((access, core.holders));
+            });
+            holders.push(core.holders);
         }
     }
+    let pairs = accesses.into_iter().zip(holders.iter().map(Option::as_ref)).collect();
+    field_verdicts(pairs, reach_by_root.keys(), pt, |_, _, _, cold| cold())
+}
+
+/// The half of the race pass the batch and carried drivers share: sorts
+/// the access pairs into source order, takes each field's alias-tier
+/// core from `core_of` — handed the field, its group, the sorted
+/// accesses and the cold computation of the core — and materializes it.
+/// Returns the report and the core of every field.
+#[allow(clippy::type_complexity)]
+fn field_verdicts<'r>(
+    pairs: Vec<(Access, Option<&BTreeSet<ObjId>>)>,
+    roots: impl Iterator<Item = &'r String>,
+    pt: &PointsTo,
+    mut core_of: impl FnMut(
+        &FieldId,
+        &[usize],
+        &[Access],
+        &mut dyn FnMut() -> FieldCore,
+    ) -> FieldCore,
+) -> (RaceReport, BTreeMap<FieldId, FieldCore>) {
     let (accesses, holders, by_field) = sorted_groups(pairs);
-    let holders: Vec<Option<&BTreeSet<ObjId>>> = holders.iter().map(Option::as_ref).collect();
-    let thread_sites = thread_sites(reach_by_root.keys(), pt);
+    let thread_sites = thread_sites(roots, pt);
     let mut reach_cache: BTreeMap<ObjId, BTreeSet<ObjId>> = BTreeMap::new();
     let mut reaches = |tau: ObjId, o: ObjId| -> bool {
         reach_cache
@@ -199,11 +231,15 @@ pub fn analyze_with_pointsto(
             .contains(&o)
     };
     let mut report = RaceReport::default();
-    for (field, idxs) in &by_field {
-        let core = field_verdict_core(idxs, &accesses, &holders, &thread_sites, &mut reaches);
-        materialize_field(field, idxs, &core, &accesses, pt, &mut report);
+    let mut cores = Vec::with_capacity(by_field.len());
+    for (field, idxs) in by_field {
+        let core = core_of(&field, &idxs, &accesses, &mut || {
+            field_verdict_core(&idxs, &accesses, &holders, &thread_sites, &mut reaches)
+        });
+        materialize_field(&field, &idxs, &core, &accesses, pt, &mut report);
+        cores.push((field, core));
     }
-    finish(report, accesses)
+    (finish(report, accesses), cores.into_iter().collect())
 }
 
 /// [`analyze_with_pointsto`] over the carried tail `state`: the thread
@@ -273,26 +309,17 @@ pub(crate) fn analyze_carried(
             pairs.push((access, core.holders.as_ref()));
         }
     }
-    let (accesses, holders, by_field) = sorted_groups(pairs);
-    let thread_sites = thread_sites(state.thread_reach.keys(), pt);
-    let mut reach_cache: BTreeMap<ObjId, BTreeSet<ObjId>> = BTreeMap::new();
-    let mut reaches = |tau: ObjId, o: ObjId| -> bool {
-        reach_cache
-            .entry(tau)
-            .or_insert_with(|| pt.reachable(tau))
-            .contains(&o)
-    };
     let pt_changed = !matches!(pass.pt, PtChange::Unchanged);
     let mut old = std::mem::take(&mut state.fields);
-    let mut report = RaceReport::default();
-    for (field, idxs) in &by_field {
+    let roots = state.thread_reach.keys();
+    let (report, fields) = field_verdicts(pairs, roots, pt, |field, idxs, accesses, cold| {
         let threaded = idxs.iter().any(|&i| {
             let a = &accesses[i];
             !a.thread_roots.is_empty() && !a.in_init_phase
         });
         let own = pass.all.is_some() || dirty.contains(field);
         let rerun = own || threaded && pt_changed;
-        let core = match old.remove(field) {
+        match old.remove(field) {
             Some(core) if !rerun => {
                 pass.hit(1);
                 core
@@ -303,13 +330,12 @@ pub(crate) fn analyze_carried(
                 } else {
                     pass.miss();
                 }
-                field_verdict_core(idxs, &accesses, &holders, &thread_sites, &mut reaches)
+                cold()
             }
-        };
-        materialize_field(field, idxs, &core, &accesses, pt, &mut report);
-        state.fields.insert(field.clone(), core);
-    }
-    finish(report, accesses)
+        }
+    });
+    state.fields = fields;
+    report
 }
 
 /// Brings the carried thread and init reach to this revision and
